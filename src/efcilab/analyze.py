@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
+from . import __version__
 from .metrics import MetricSet, metric_correlations
+from .report import slugify
 from .stats.analysis import (
     AnovaTable,
     PairwiseMatrix,
@@ -24,8 +26,6 @@ from .stats.analysis import (
 from .stats.design import DesignError, RunRecord, encode_design, parse_formula
 from .stats.linalg import RankDeficientError
 from .stats.regression import diagnostics, gram_min_eigenvalue, ols_fit
-
-_VERSION = "0.1.0"
 
 SCREENING_CANDIDATES = (
     "acc1",
@@ -94,10 +94,10 @@ def _anova_to_dict(table: AnovaTable) -> dict:
     }
 
 
-def _pairwise_to_dict(pw: PairwiseMatrix, title: str, slug: str) -> dict:
+def _pairwise_to_dict(pw: PairwiseMatrix, title: str) -> dict:
     return {
         "title": title,
-        "slug": slug,
+        "slug": slugify(title),
         "variable": pw.variable,
         "response": pw.response,
         "levels": list(pw.levels),
@@ -126,16 +126,6 @@ def _drop_nan(obj):
     return obj
 
 
-def _slugify(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch.isalnum():
-            out.append(ch.lower())
-        elif out and out[-1] != "_":
-            out.append("_")
-    return "".join(out).strip("_")
-
-
 def _response_variance(records: list[RunRecord], response: str) -> float:
     values = np.array([getattr(r, response) for r in records], dtype=float)
     return float(values.var())
@@ -157,7 +147,7 @@ def build_report_bundle(
     ]
     corr = metric_correlations(metric_rows)
     bundle: dict = {
-        "version": _VERSION,
+        "version": __version__,
         "alpha": alpha,
         "config_hash": config_hash,
         "n_records": len(records),
@@ -222,7 +212,7 @@ def _add_pairwise(bundle: dict, records, formula: str, alpha: float, title: str)
     except (DesignError, RankDeficientError) as exc:
         bundle["warnings"].append(f"pairwise {title!r} skipped: {exc}")
         return
-    bundle["pairwise"].append(_pairwise_to_dict(pw, title, _slugify(title)))
+    bundle["pairwise"].append(_pairwise_to_dict(pw, title))
 
 
 def _add_pairwise_sections(bundle, records, alpha, usable_responses) -> None:

@@ -1,17 +1,20 @@
 """Experiment grid execution and results persistence.
 
-Every run is seeded from the base seed plus its factor tuple, so the
-grid can grow without reshuffling existing runs, and all learners of one
-(data, strategy, repetition) cell see identical features. Failures are
+Datasets and scenarios are seeded from the base seed plus their factor
+tuple, so the grid can grow without reshuffling existing runs, and all
+learners of one (data, strategy, repetition) cell see identical
+features; the learners themselves are deterministic. Failures are
 recorded per run and never abort the grid.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
+from . import __version__
 from .config import GridConfig, config_hash, stable_seed
 from .datagen import FeatureDataset, SynthSpec, dataset_stats, load_features, synth_features
 from .learners import AccuracyMatrix, run_incremental
@@ -19,24 +22,12 @@ from .metrics import compute_metrics
 from .scenario import build_scenario
 from .stats.design import RunRecord
 
-RESULTS_COLUMNS = (
-    "run_id",
-    "data",
-    "train",
-    "incr",
-    "scenario_B",
-    "N",
-    "N1",
-    "n_mean",
-    "small",
-    "width",
-    "acc1",
-    "avg_acc",
-    "forgetting",
-    "accK",
+# (name, type) per RunRecord field: the one schema results.csv is written and parsed by
+_RECORD_FIELDS = tuple((f.name, get_type_hints(RunRecord)[f.name]) for f in fields(RunRecord))
+# header spelling of each field; three differ from the field names
+RESULTS_COLUMNS = tuple(
+    {"scenario_b": "scenario_B", "n": "N", "n1": "N1"}.get(name, name) for name, _ in _RECORD_FIELDS
 )
-
-_VERSION = "0.1.0"
 
 
 class ResultsError(ValueError):
@@ -68,7 +59,7 @@ class ResultsTable:
     failures: list[RunFailure]
     config_hash: str
     base_seed: int
-    version: str = _VERSION
+    version: str = __version__
     matrices: dict[str, AccuracyMatrix] | None = None
 
 
@@ -120,12 +111,7 @@ def run_single(cfg: GridConfig, spec: RunSpec) -> tuple[RunRecord, AccuracyMatri
     sc = build_scenario(
         [int(c) for c in ds.class_ids], spec.scenario, cfg.n_incr_steps, sc_seed
     )
-    run_seed = stable_seed(
-        cfg.base_seed, "run", spec.data, spec.train, spec.incr, spec.scenario, spec.rep
-    )
-    hyper = dict(cfg.hyperparams.get(spec.incr, {}))
-    hyper["seed"] = run_seed
-    matrix = run_incremental(spec.incr, ds, sc, hyper)
+    matrix = run_incremental(spec.incr, ds, sc, cfg.hyperparams.get(spec.incr, {}))
 
     stats = dataset_stats(ds)
     metrics = compute_metrics(matrix, sc.initial_fraction)
@@ -205,27 +191,7 @@ def results_csv_text(table: ResultsTable) -> str:
         ",".join(RESULTS_COLUMNS),
     ]
     for r in sorted(table.records, key=lambda r: r.run_id):
-        lines.append(
-            ",".join(
-                _format_value(v)
-                for v in (
-                    r.run_id,
-                    r.data,
-                    r.train,
-                    r.incr,
-                    r.scenario_b,
-                    r.n,
-                    r.n1,
-                    r.n_mean,
-                    r.small,
-                    r.width,
-                    r.acc1,
-                    r.avg_acc,
-                    r.forgetting,
-                    r.accK,
-                )
-            )
-        )
+        lines.append(",".join(_format_value(getattr(r, name)) for name, _ in _RECORD_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -279,22 +245,7 @@ def load_results(path: str | Path) -> ResultsTable:
             )
         try:
             records.append(
-                RunRecord(
-                    run_id=parts[0],
-                    data=parts[1],
-                    train=parts[2],
-                    incr=parts[3],
-                    scenario_b=int(parts[4]),
-                    n=int(parts[5]),
-                    n1=int(parts[6]),
-                    n_mean=float(parts[7]),
-                    small=int(parts[8]),
-                    width=float(parts[9]),
-                    acc1=float(parts[10]),
-                    avg_acc=float(parts[11]),
-                    forgetting=float(parts[12]),
-                    accK=float(parts[13]),
-                )
+                RunRecord(**{name: kind(part) for (name, kind), part in zip(_RECORD_FIELDS, parts)})
             )
         except ValueError as exc:
             raise ResultsError(f"{path}:{lineno}: {exc}") from None

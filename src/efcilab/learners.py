@@ -531,10 +531,8 @@ _CONSTRUCTORS = {
 def make_learner(kind: str, hyperparams: dict | None = None):
     if kind not in _CONSTRUCTORS:
         raise LearnerError(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
-    params = dict(hyperparams or {})
-    params.pop("seed", None)  # runs are deterministic; seed is provenance only
     try:
-        return _CONSTRUCTORS[kind](**params)
+        return _CONSTRUCTORS[kind](**(hyperparams or {}))
     except TypeError as exc:
         raise LearnerError(f"invalid hyperparameters for {kind}: {exc}") from None
 

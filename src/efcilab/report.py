@@ -225,7 +225,7 @@ def render_bundle(bundle: dict, out_dir: str | Path, formats: set[str] | None = 
             emit(f"aic_{response}.csv", _csv([a_header] + a_rows))
 
     for table in bundle["anova"]:
-        slug = _slug(table["formula"])
+        slug = slugify(table["formula"])
         t_header, t_rows = anova_rows(table)
         if "csv" in formats:
             emit(f"anova_{slug}.csv", _csv([t_header] + t_rows))
@@ -301,9 +301,10 @@ def render_bundle(bundle: dict, out_dir: str | Path, formats: set[str] | None = 
     return written
 
 
-def _slug(formula: str) -> str:
+def slugify(text: str) -> str:
+    """Lower-case alphanumerics with single underscores: the file-name form of a title."""
     out = []
-    for ch in formula:
+    for ch in text:
         if ch.isalnum():
             out.append(ch.lower())
         elif out and out[-1] != "_":

@@ -2,9 +2,9 @@
 
 ANOVA uses Type-II sums of squares (each variable judged against the
 model holding every term that does not contain it), which makes the
-table invariant to term declaration order. Pairwise comparisons refit
-the same regression once per reference level and gate significance with
-a Bonferroni-corrected threshold over unordered level pairs.
+table invariant to term declaration order. Pairwise comparisons read
+every level pair from one fit's coefficients and covariance and gate
+significance with a Bonferroni-corrected threshold over unordered pairs.
 """
 
 from __future__ import annotations
@@ -244,12 +244,19 @@ def pairwise_comparison(
     variable: str = "train",
     reference_levels: dict[str, str] | None = None,
 ) -> PairwiseMatrix:
-    """Refit with every reference level of ``variable`` and tabulate gains."""
+    """Tabulate the gain of every level of ``variable`` over every other.
+
+    Under treatment coding the gain of level i over level j is
+    ``beta_i - beta_j`` with variance ``sigma2 (c_ii + c_jj - 2 c_ij)``,
+    where ``c`` is the unscaled covariance and the reference level has
+    ``beta = 0`` and ``c = 0``; one fit serves every pair.
+    """
     if isinstance(formula, str):
         formula = parse_formula(formula)
     if variable not in formula.terms:
         raise DesignError(f"formula {formula} does not contain {variable!r} as a term")
-    base_refs = dict(reference_levels or {})
+    # the compared variable's own reference level changes no contrast
+    refs = {k: v for k, v in (reference_levels or {}).items() if k != variable}
 
     levels = tuple(sorted({str(getattr(r, variable)) for r in records}))
     n_levels = len(levels)
@@ -258,29 +265,31 @@ def pairwise_comparison(
 
     n_tests = n_levels * (n_levels - 1) // 2
     corrected = alpha / n_tests
-    gain = np.zeros((n_levels, n_levels))
+    gain = np.full((n_levels, n_levels), np.nan)
     p_values = np.full((n_levels, n_levels), np.nan)
     estimable = np.zeros((n_levels, n_levels), dtype=bool)
-    np.fill_diagonal(p_values, np.nan)
 
-    for j in range(1, n_levels):
-        refs = dict(base_refs)
-        refs[variable] = levels[j]
-        try:
-            fit = ols_fit(encode_design(records, formula, refs))
-        except (DesignError, RankDeficientError):
-            continue
-        for i in range(j):
-            try:
-                est, _, _, p_val = fit.coef(f"{variable}[{levels[i]}]")
-            except KeyError:
-                continue
-            gain[i, j] = est
-            gain[j, i] = -est
-            p_values[i, j] = p_values[j, i] = p_val
-            estimable[i, j] = estimable[j, i] = True
+    try:
+        design = encode_design(records, formula, refs)
+        fit = ols_fit(design)
+    except (DesignError, RankDeficientError):
+        pass  # the rank does not depend on the reference level: no pair is estimable
+    else:
+        # rows pick each level's coefficient; the reference level's row stays zero
+        pick = np.zeros((n_levels, fit.n_params))
+        for i, level in enumerate(levels):
+            if level != design.reference_levels[variable]:
+                pick[i, fit.column_labels.index(f"{variable}[{level}]")] = 1.0
+        beta = pick @ fit.beta
+        cov = pick @ fit.cov_unscaled @ pick.T
+        var = np.diag(cov)[:, None] + np.diag(cov)[None, :] - 2.0 * cov
+        se = np.sqrt(np.clip(fit.sigma2 * var, 0.0, None))
+        gain = beta[:, None] - beta[None, :]
+        for i in range(n_levels):
+            for j in range(i + 1, n_levels):
+                p_values[i, j] = p_values[j, i] = fit.t_test(float(gain[i, j]), float(se[i, j]))[1]
+        estimable = ~np.eye(n_levels, dtype=bool)
 
-    gain[~estimable] = np.nan
     np.fill_diagonal(gain, 0.0)
     with np.errstate(invalid="ignore"):
         significant = estimable & (p_values < corrected)

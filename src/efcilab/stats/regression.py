@@ -28,6 +28,7 @@ class RegressionFit:
     se: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
+    cov_unscaled: np.ndarray  # (X^T X)^{-1}; sigma2 times it is the coefficient covariance
     fitted: np.ndarray
     residuals: np.ndarray
     hat_diag: np.ndarray
@@ -58,6 +59,19 @@ class RegressionFit:
             float(self.p_values[i]),
         )
 
+    def t_test(self, estimate: float, se: float) -> tuple[float, float]:
+        """Two-sided Student-t statistic and p-value of ``estimate`` against zero.
+
+        An exact fit (``se == 0``) degenerates the test to "is the estimate
+        zero", judged against 1e-12 times the largest coefficient (at least 1).
+        """
+        if se > 0:
+            t = estimate / se
+            return t, student_t_pvalue(t, self.df_resid)
+        beta_tol = 1e-12 * max(1.0, float(np.max(np.abs(self.beta))))
+        big = abs(estimate) > beta_tol
+        return (math.copysign(math.inf, estimate) if big else 0.0), (0.0 if big else 1.0)
+
 
 def ols_fit(design: DesignMatrix) -> RegressionFit:
     """Fit by pivoted Householder QR; raise naming collinear columns."""
@@ -86,18 +100,6 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
 
     cov_unscaled = unscaled_covariance(qrf)
     se = np.sqrt(np.clip(sigma2 * np.diag(cov_unscaled), 0.0, None))
-    t_stats = np.empty(p)
-    p_values = np.empty(p)
-    beta_tol = 1e-12 * max(1.0, float(np.max(np.abs(beta))))
-    for i in range(p):
-        if se[i] > 0:
-            t_stats[i] = beta[i] / se[i]
-            p_values[i] = student_t_pvalue(float(t_stats[i]), df_resid)
-        else:
-            # exact fit: the test degenerates to "is the coefficient zero"
-            big = abs(beta[i]) > beta_tol
-            t_stats[i] = math.copysign(math.inf, beta[i]) if big else 0.0
-            p_values[i] = 0.0 if big else 1.0
 
     if sst > 0:
         r_squared = min(max(1.0 - ssr / sst, 0.0), 1.0)
@@ -117,13 +119,14 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
     else:
         f_stat, f_p = math.nan, math.nan
 
-    return RegressionFit(
+    fit = RegressionFit(
         formula=str(design.formula),
         column_labels=list(design.column_labels),
         beta=beta,
         se=se,
-        t_stats=t_stats,
-        p_values=p_values,
+        t_stats=np.empty(p),
+        p_values=np.empty(p),
+        cov_unscaled=cov_unscaled,
         fitted=fitted,
         residuals=residuals,
         hat_diag=hat_diagonal(qrf),
@@ -139,6 +142,9 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         f_stat=f_stat,
         f_pvalue=f_p,
     )
+    for i in range(p):
+        fit.t_stats[i], fit.p_values[i] = fit.t_test(float(beta[i]), float(se[i]))
+    return fit
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """ANOVA, screening, model selection, and pairwise-comparison behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from efcilab.stats.analysis import (
     select_model_aic,
 )
 from efcilab.stats.design import DesignError, Formula, encode_design
+from efcilab.stats.linalg import RankDeficientError
 from efcilab.stats.regression import ols_fit
 
 
@@ -308,3 +310,62 @@ def test_pairwise_honors_other_reference_levels():
     pw2 = pairwise_comparison(records, "avg_acc ~ train + incr", reference_levels={"incr": "dslda"})
     # gains over train levels are invariant to the other factor's reference
     assert np.allclose(pw1.gain, pw2.gain, atol=1e-10)
+
+
+def refit_per_reference(records, formula):
+    """Gains, p-values and estimability by refitting once per reference level of train."""
+    levels = sorted({r.train for r in records})
+    gain = np.full((len(levels), len(levels)), np.nan)
+    p_values = np.full_like(gain, np.nan)
+    estimable = np.zeros(gain.shape, dtype=bool)
+    for j, ref in enumerate(levels):
+        try:
+            fit = ols_fit(encode_design(records, formula, {"train": ref}))
+        except (DesignError, RankDeficientError):
+            continue
+        for i, level in enumerate(levels):
+            if i != j:
+                gain[i, j], _, _, p_values[i, j] = fit.coef(f"train[{level}]")
+                estimable[i, j] = True
+    return gain, p_values, estimable
+
+
+def _collinear_with_data(records):
+    data_of = {"a": "d1", "b": "d2", "c": "d3", "d": "d1"}
+    return [dataclasses.replace(r, data=data_of[r.train]) for r in records]
+
+
+@pytest.mark.parametrize(
+    "noise, formula, transform",
+    [
+        (0.05, "avg_acc ~ train + incr", None),
+        (0.05, "avg_acc ~ train + incr + train:incr", None),
+        (0.0, "avg_acc ~ train + incr", None),
+        (0.05, "avg_acc ~ train + data", _collinear_with_data),
+    ],
+    ids=["additive", "interaction", "exact_fit", "collinear"],
+)
+def test_pairwise_one_fit_matches_refit_per_reference(noise, formula, transform):
+    records = make_records(
+        240,
+        seed=23,
+        train_levels=("a", "b", "c", "d"),
+        train_effects={"b": 0.03, "c": 0.2},  # a and d tie: an exact fit tests p = 1
+        incr_effects={"fetril": -0.1},
+        noise=noise,
+    )
+    if transform is not None:
+        records = transform(records)
+    pw = pairwise_comparison(records, formula, alpha=0.05)
+    gain, p_values, estimable = refit_per_reference(records, formula)
+
+    assert np.array_equal(pw.estimable, estimable)
+    assert transform is None or not estimable.any()
+    assert np.all(np.abs(pw.gain[estimable] - gain[estimable]) <= 1e-12)
+    assert np.all(np.abs(pw.p_values[estimable] - p_values[estimable]) <= 1e-12)
+    assert np.all(np.isnan(pw.gain[~estimable & ~np.eye(4, dtype=bool)]))
+    with np.errstate(invalid="ignore"):
+        significant = estimable & (p_values < 0.05 / pw.n_tests)
+    assert np.array_equal(pw.significant, significant)
+    if noise == 0.0:
+        assert set(np.unique(pw.p_values[estimable])) == {0.0, 1.0}

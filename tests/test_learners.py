@@ -385,8 +385,9 @@ def test_unknown_learner_kind():
 def test_invalid_hyperparameter_rejected():
     from efcilab.learners import make_learner
 
-    with pytest.raises(LearnerError, match="invalid hyperparameters"):
-        make_learner("dslda", {"bogus_knob": 3})
+    for knob in ("bogus_knob", "seed"):
+        with pytest.raises(LearnerError, match="invalid hyperparameters"):
+            make_learner("dslda", {knob: 3})
 
 
 def test_accuracy_matrix_csv_round_trip():
