@@ -67,7 +67,8 @@ def cmd_run(args) -> int:
     spec = RunSpec(
         data=args.data, train=args.train, incr=args.incr, scenario=args.scenario, rep=args.rep
     )
-    record, matrix = run_single(cfg, spec)
+    ds = materialize_dataset(cfg, spec.data, spec.train, spec.rep)
+    record, matrix = run_single(cfg, spec, ds)
     print(
         f"{record.run_id}: acc1={record.acc1:.4f} avg_acc={record.avg_acc:.4f} "
         f"forgetting={record.forgetting:.4f} accK={record.accK:.4f}"

@@ -1,15 +1,18 @@
 """Experiment grid execution and results persistence.
 
-Datasets and scenarios are seeded from the base seed plus their factor
-tuple, so the grid can grow without reshuffling existing runs, and all
-learners of one (data, strategy, repetition) cell see identical
-features; the learners themselves are deterministic. Failures are
+The unit of work is a cell: one (data, strategy, repetition) triple. A
+cell materializes or loads its dataset once, read-only, and runs every
+learner x scenario combination on it, so all learners of a cell see
+identical features. Datasets and scenarios are seeded from the base seed
+plus their factor tuple, so the grid can grow without reshuffling
+existing runs; the learners themselves are deterministic. Failures are
 recorded per run and never abort the grid.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -76,16 +79,17 @@ def enumerate_runs(cfg: GridConfig) -> list[RunSpec]:
 
 
 def materialize_dataset(cfg: GridConfig, data_name: str, train_name: str, rep: int) -> FeatureDataset:
-    """Features for one (dataset, strategy, repetition) cell.
+    """Read-only features for one (dataset, strategy, repetition) cell.
 
     The seed ignores the learner and scenario so that every learner is
-    compared on identical features.
+    compared on identical features. The arrays are read-only because all
+    runs of a cell share them.
     """
     ds_spec = cfg.dataset(data_name)
     strat = cfg.strategy(train_name)
     if ds_spec.kind == "synthetic":
         seed = stable_seed(cfg.base_seed, "dataset", data_name, train_name, rep)
-        return synth_features(
+        ds = synth_features(
             SynthSpec(
                 n_classes=ds_spec.n_classes,
                 dim=ds_spec.dim,
@@ -97,16 +101,21 @@ def materialize_dataset(cfg: GridConfig, data_name: str, train_name: str, rep: i
                 name=data_name,
             )
         )
-    return load_features(
-        strat.paths[data_name],
-        name=data_name,
-        meta={"small": ds_spec.small, "width": ds_spec.width, "strategy": train_name},
-    )
+    else:
+        ds = load_features(
+            strat.paths[data_name],
+            name=data_name,
+            meta={"small": ds_spec.small, "width": ds_spec.width, "strategy": train_name},
+        )
+    for array in (ds.features, ds.labels, ds.is_train):
+        array.setflags(write=False)
+    return ds
 
 
-def run_single(cfg: GridConfig, spec: RunSpec) -> tuple[RunRecord, AccuracyMatrix]:
-    """Execute one grid cell and assemble its results-table row."""
-    ds = materialize_dataset(cfg, spec.data, spec.train, spec.rep)
+def run_single(
+    cfg: GridConfig, spec: RunSpec, ds: FeatureDataset
+) -> tuple[RunRecord, AccuracyMatrix]:
+    """Execute one run on its cell's dataset and assemble its results-table row."""
     sc_seed = stable_seed(cfg.base_seed, "scenario", spec.data, spec.scenario, spec.rep)
     sc = build_scenario(
         [int(c) for c in ds.class_ids], spec.scenario, cfg.n_incr_steps, sc_seed
@@ -136,26 +145,41 @@ def run_single(cfg: GridConfig, spec: RunSpec) -> tuple[RunRecord, AccuracyMatri
     return record, matrix
 
 
-def _run_single_safe(args: tuple[GridConfig, RunSpec]):
-    cfg, spec = args
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_cell(args: tuple[GridConfig, list[RunSpec]]):
+    """Run every spec of one cell on one dataset; each failure stays with its run."""
+    cfg, specs = args
+    cell = specs[0]
     try:
-        record, matrix = run_single(cfg, spec)
-        return spec.run_id, record, matrix, None
-    except Exception as exc:  # per-run isolation: the grid must not abort
-        return spec.run_id, None, None, f"{type(exc).__name__}: {exc}"
+        ds = materialize_dataset(cfg, cell.data, cell.train, cell.rep)
+    except Exception as exc:  # the cell's runs all fail, the grid goes on
+        return [(spec.run_id, None, None, _error_text(exc)) for spec in specs]
+    outcomes = []
+    for spec in specs:
+        try:
+            record, matrix = run_single(cfg, spec, ds)
+            outcomes.append((spec.run_id, record, matrix, None))
+        except Exception as exc:  # per-run isolation: the grid must not abort
+            outcomes.append((spec.run_id, None, None, _error_text(exc)))
+    return outcomes
 
 
 def run_grid(cfg: GridConfig, jobs: int = 1) -> ResultsTable:
-    """Execute every combination x repetition; collect records and failures."""
-    specs = enumerate_runs(cfg)
-    tasks = [(cfg, s) for s in specs]
+    """Execute every combination x repetition, one task per cell; collect records and failures."""
+    cells: dict[tuple[str, str, int], list[RunSpec]] = {}
+    for spec in enumerate_runs(cfg):
+        cells.setdefault((spec.data, spec.train, spec.rep), []).append(spec)
+    tasks = [(cfg, specs) for specs in cells.values()]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_single_safe, tasks))
+            per_cell = list(pool.map(_run_cell, tasks))
     else:
-        outcomes = [_run_single_safe(t) for t in tasks]
+        per_cell = [_run_cell(t) for t in tasks]
 
-    outcomes.sort(key=lambda o: o[0])
+    outcomes = sorted((o for cell in per_cell for o in cell), key=lambda o: o[0])
     records: list[RunRecord] = []
     failures: list[RunFailure] = []
     matrices: dict[str, AccuracyMatrix] = {}
@@ -209,12 +233,12 @@ def write_results(table: ResultsTable, out_dir: str | Path) -> Path:
                 table.matrices[run_id].to_csv_text(), encoding="utf-8", newline="\n"
             )
     if table.failures:
-        fail_lines = ["run_id,error"]
-        for f in sorted(table.failures, key=lambda f: f.run_id):
-            fail_lines.append(f"{f.run_id},{f.error.replace(chr(10), ' ')}")
-        (out_dir / "failures.csv").write_text(
-            "\n".join(fail_lines) + "\n", encoding="utf-8", newline="\n"
-        )
+        # errors may hold commas and quotes; line breaks become spaces, one line per failure
+        with open(out_dir / "failures.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("run_id", "error"))
+            for f in sorted(table.failures, key=lambda f: f.run_id):
+                writer.writerow((f.run_id, " ".join(f.error.splitlines())))
     return results_path
 
 
@@ -223,7 +247,9 @@ def load_results(path: str | Path) -> ResultsTable:
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     meta = {"config_hash": "", "base_seed": 0, "version": ""}
+    first_row = 2  # file line number of the first data row
     if lines and lines[0].startswith("#"):
+        first_row = 3
         for token in lines[0].lstrip("# ").split():
             if "=" in token:
                 key, val = token.split("=", 1)
@@ -235,7 +261,7 @@ def load_results(path: str | Path) -> ResultsTable:
     if not lines or lines[0].split(",") != list(RESULTS_COLUMNS):
         raise ResultsError(f"{path}: missing or wrong header; expected {','.join(RESULTS_COLUMNS)}")
     records = []
-    for lineno, line in enumerate(lines[1:], start=3 if meta["version"] else 2):
+    for lineno, line in enumerate(lines[1:], start=first_row):
         if not line.strip():
             continue
         parts = line.split(",")

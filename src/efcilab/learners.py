@@ -3,8 +3,8 @@
 Four algorithms behind one exemplar-free contract (``learn_step`` sees only
 the current step's training data):
 
-* ``StreamingLDA`` — per-sample class means and shared scatter with
-  shrinkage, linear discriminant prediction.
+* ``StreamingLDA`` — class means and shared scatter merged per class
+  block, with shrinkage; linear discriminant prediction.
 * ``FeTrILLite`` — frozen class means plus a linear head retrained each
   step on real new-class features and translated pseudo-features for past
   classes.
@@ -122,9 +122,11 @@ def argmax_by_class(scores: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
 class StreamingLDA:
     """Streaming linear discriminant classifier with shrinkage.
 
-    Class means and the shared scatter accumulate one sample at a time
-    (Welford updates), so the final state matches a batch fit over the
-    same samples up to float rounding regardless of arrival order.
+    Each ``learn_step`` takes every class's block mean and centred scatter
+    and merges them into the running class mean and shared scatter with
+    the pairwise update of Chan, Golub & LeVeque (1979), so the final
+    state matches a batch fit over the same samples up to float rounding
+    regardless of arrival order or how a class is split over steps.
     """
 
     def __init__(self, shrinkage: float = 1e-4):
@@ -147,17 +149,23 @@ class StreamingLDA:
         if self.dim is None:
             self.dim = int(features.shape[1])
             self.scatter = np.zeros((self.dim, self.dim))
-        for x, c in zip(features, labels):
+        for c in np.unique(labels):
             c = int(c)
-            if c not in self.means:
-                self.means[c] = np.zeros(self.dim)
-                self.counts[c] = 0
-            n_old = self.counts[c]
-            delta = x - self.means[c]
-            self.means[c] = self.means[c] + delta / (n_old + 1)
-            self.scatter += (n_old / (n_old + 1)) * np.outer(delta, delta)
-            self.counts[c] = n_old + 1
-            self.total += 1
+            block = features[labels == c]
+            n_b = block.shape[0]
+            mean_b = block.mean(axis=0)
+            centred = block - mean_b
+            self.scatter += centred.T @ centred
+            n_a = self.counts.get(c, 0)
+            if n_a == 0:
+                self.means[c] = mean_b
+            else:
+                n = n_a + n_b
+                delta = mean_b - self.means[c]
+                self.scatter += (n_a * n_b / n) * np.outer(delta, delta)
+                self.means[c] = self.means[c] + delta * (n_b / n)
+            self.counts[c] = n_a + n_b
+            self.total += n_b
 
     def covariance(self) -> np.ndarray:
         """Pooled within-class covariance (population normalization)."""

@@ -1,5 +1,6 @@
 """Config handling, grid execution, results persistence, CLI surface."""
 
+import csv
 import dataclasses
 
 import pytest
@@ -18,7 +19,19 @@ from efcilab.config import (
     stable_seed,
     write_config,
 )
-from efcilab.grid import enumerate_runs, load_results, run_grid, run_single, write_results
+from efcilab import grid
+from efcilab.datagen import SynthSpec, save_features, synth_features
+from efcilab.grid import (
+    ResultsError,
+    ResultsTable,
+    RunFailure,
+    enumerate_runs,
+    load_results,
+    materialize_dataset,
+    run_grid,
+    run_single,
+    write_results,
+)
 
 
 def toy_config(**overrides) -> GridConfig:
@@ -103,7 +116,8 @@ def test_default_config_is_valid_and_sized_as_shipped():
 def test_run_single_produces_consistent_record():
     cfg = toy_config()
     spec = enumerate_runs(cfg)[0]
-    record, matrix = run_single(cfg, spec)
+    ds = materialize_dataset(cfg, spec.data, spec.train, spec.rep)
+    record, matrix = run_single(cfg, spec, ds)
     assert record.run_id == spec.run_id
     assert record.n == 10
     assert matrix.n_steps == (6 if spec.scenario == "half" else 5)
@@ -148,6 +162,87 @@ def test_grid_records_failures_without_aborting(tmp_path):
     assert all("shrinkage" in f.error for f in table.failures)
     write_results(table, tmp_path)
     assert (tmp_path / "failures.csv").exists()
+
+
+def test_grid_materializes_each_cell_once(monkeypatch):
+    calls = []
+    original = grid.materialize_dataset
+
+    def counting(cfg, data_name, train_name, rep):
+        calls.append((data_name, train_name, rep))
+        return original(cfg, data_name, train_name, rep)
+
+    monkeypatch.setattr(grid, "materialize_dataset", counting)
+    cfg = toy_config(repetitions=2)
+    table = run_grid(cfg, jobs=1)
+    assert len(table.records) == len(enumerate_runs(cfg))
+    assert sorted(calls) == sorted({(s.data, s.train, s.rep) for s in enumerate_runs(cfg)})
+    assert len(calls) == 2 * 3 * 2
+
+
+def test_grid_missing_feature_file_fails_only_its_cell(tmp_path):
+    paths = {}
+    for name, sep in (("good", 3.0), ("gone", 3.0)):
+        ds = synth_features(SynthSpec(n_classes=10, dim=4, n_train=5, n_test=3, separation=sep,
+                                      seed=len(paths), name="ext"))
+        paths[name] = tmp_path / f"{name}.csv"
+        save_features(ds, paths[name])
+    paths["gone"].unlink()
+    cfg = toy_config(
+        datasets=(DatasetSpec(name="ext", kind="file"),),
+        strategies=(
+            StrategySpec(name="good", paths={"ext": str(paths["good"])}),
+            StrategySpec(name="gone", paths={"ext": str(paths["gone"])}),
+        ),
+        learners=("dslda", "ncm"),
+    )
+    table = run_grid(cfg)
+    assert sorted(r.run_id for r in table.records) == sorted(
+        s.run_id for s in enumerate_runs(cfg) if s.train == "good"
+    )
+    assert sorted(f.run_id for f in table.failures) == sorted(
+        s.run_id for s in enumerate_runs(cfg) if s.train == "gone"
+    )
+    errors = {f.error for f in table.failures}
+    assert len(errors) == 1
+    assert errors.pop().startswith("FileNotFoundError: ")
+
+
+def test_materialized_dataset_is_read_only():
+    cfg = toy_config()
+    ds = materialize_dataset(cfg, "tiny1", "s-lo", 0)
+    for array in (ds.features, ds.labels, ds.is_train):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+def test_load_results_line_numbers_count_any_comment_header(tmp_path):
+    cfg = toy_config(learners=("ncm",), scenarios=("equal",))
+    text = (write_results(run_grid(cfg), tmp_path / "g")).read_text()
+    comment, header, *rows = text.splitlines()
+    for first_lines, bad_lineno in (([comment], 4), (["# hand-written, no tokens"], 4), ([], 3)):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(first_lines + [header, rows[0], "a,b,c"] + rows[1:]) + "\n")
+        with pytest.raises(ResultsError, match=rf"bad\.csv:{bad_lineno}: expected"):
+            load_results(path)
+
+
+def test_failures_csv_reads_back_as_run_error_pairs(tmp_path):
+    failures = [
+        RunFailure(run_id="b__x", error="ResultsError: f.csv:4: expected 14 fields, got 3"),
+        RunFailure(run_id="a__y", error='LearnerError: step 2: "quoted", then\na second line'),
+    ]
+    table = ResultsTable(records=[], failures=failures, config_hash="h", base_seed=0)
+    write_results(table, tmp_path)
+    text = (tmp_path / "failures.csv").read_text(encoding="utf-8")
+    assert len(text.splitlines()) == 1 + len(failures)
+    with open(tmp_path / "failures.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["run_id", "error"],
+        ["a__y", 'LearnerError: step 2: "quoted", then a second line'],
+        ["b__x", "ResultsError: f.csv:4: expected 14 fields, got 3"],
+    ]
 
 
 # ---------------------------------------------------------------------------

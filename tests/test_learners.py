@@ -79,6 +79,32 @@ def test_streaming_order_invariance():
         assert np.max(np.abs(a.means[c] - b.means[c])) <= 1e-9
 
 
+def test_streaming_merge_across_steps_matches_batch():
+    ds = synth_features(SynthSpec(n_classes=4, dim=6, n_train=30, n_test=2, separation=2.0, seed=6))
+    x, y = ds.train_arrays()
+    rng = np.random.default_rng(2)
+    # each class's rows go to 3 calls in uneven blocks: 1 row, then a random cut of the rest
+    step_of = np.empty(len(y), dtype=np.int64)
+    for c in np.unique(y):
+        rows = rng.permutation(np.flatnonzero(y == c))
+        cut = int(rng.integers(2, len(rows) - 1))
+        step_of[rows[:1]] = int(c) % 3
+        step_of[rows[1:cut]] = (int(c) + 1) % 3
+        step_of[rows[cut:]] = (int(c) + 2) % 3
+    learner = StreamingLDA(shrinkage=1e-4)
+    for step in range(3):
+        learner.learn_step(x[step_of == step], y[step_of == step])
+    ids, w, b = learner.discriminant_parameters()
+    ids2, w2, b2, sigma = batch_lda_params(x, y, 1e-4)
+    assert np.array_equal(ids, ids2)
+    for c in ids:
+        assert learner.counts[int(c)] == int((y == c).sum())
+        assert np.max(np.abs(learner.means[int(c)] - x[y == c].mean(axis=0))) <= 1e-9
+    assert np.max(np.abs(learner.covariance() - sigma)) / np.max(np.abs(sigma)) <= 1e-6
+    assert np.max(np.abs(w - w2)) <= 1e-6 * np.max(np.abs(w2))
+    assert np.max(np.abs(b - b2)) <= 1e-6 * np.max(np.abs(b2))
+
+
 def test_dslda_shrinkage_one_equals_nearest_mean():
     ds = synth_features(SynthSpec(n_classes=4, dim=5, n_train=10, n_test=20, separation=1.0, seed=5))
     x, y = ds.train_arrays()
