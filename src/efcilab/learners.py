@@ -173,7 +173,13 @@ class StreamingLDA:
             raise LearnerError("predict before any update")
         return self.scatter / self.total
 
-    def _precision(self) -> np.ndarray:
+    def discriminant_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sorted class ids, weight rows w_c = Lambda mu_c, biases -mu'Lambda mu/2)."""
+        if self.total == 0:
+            raise LearnerError("predict before any update")
+        ids = self.known_classes
+        if len(ids) < 2:
+            raise LearnerError(f"prediction needs at least 2 known classes, have {len(ids)}")
         sigma = self.covariance()
         shrunk = (1.0 - self.shrinkage) * sigma + self.shrinkage * np.eye(self.dim)
         try:
@@ -182,20 +188,9 @@ class StreamingLDA:
             raise LearnerError(
                 "shrunk scatter is singular; use shrinkage > 0 to guarantee invertibility"
             ) from None
-        identity = np.eye(self.dim)
-        half = np.linalg.solve(chol, identity)
-        return half.T @ half
-
-    def discriminant_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sorted class ids, weight rows w_c = Lambda mu_c, biases -mu'Lambda mu/2)."""
-        if self.total == 0:
-            raise LearnerError("predict before any update")
-        ids = self.known_classes
-        if len(ids) < 2:
-            raise LearnerError(f"prediction needs at least 2 known classes, have {len(ids)}")
-        precision = self._precision()
         mu = np.stack([self.means[int(c)] for c in ids])
-        weights = mu @ precision
+        # Lambda = L^-T L^-1, so Lambda mu' takes two solves against the factor L
+        weights = np.linalg.solve(chol.T, np.linalg.solve(chol, mu.T)).T
         biases = -0.5 * np.einsum("ij,ij->i", weights, mu)
         return ids, weights, biases
 
@@ -481,7 +476,9 @@ class BSILLite:
         class_idx = np.searchsorted(all_ids, labels)
 
         for _ in range(self.epochs):
-            loss, grad_w, grad_scale = balanced_softmax_anchor_loss(
+            # gradient step on the data term alone; the quadratic anchor is
+            # applied below as an exact proximal shrink, stable for any strength
+            loss, grad_data, grad_scale = balanced_softmax_anchor_loss(
                 weight_mat,
                 self.scale,
                 features,
@@ -489,19 +486,11 @@ class BSILLite:
                 count_vec,
                 anchor_mask,
                 snapshot,
-                self.anchor_strength,
+                0.0,
             )
             if not math.isfinite(loss):
                 raise LearnerError(
                     f"non-finite loss at incremental step {self.steps_seen} (lr={self.lr})"
-                )
-            # gradient step on the data term; the quadratic anchor is applied
-            # as an exact proximal shrink, stable for any anchor strength
-            grad_data = grad_w
-            if self.anchor_strength > 0:
-                grad_data = grad_w.copy()
-                grad_data[anchor_mask] -= (
-                    2.0 * self.anchor_strength * (weight_mat[anchor_mask] - snapshot[anchor_mask])
                 )
             weight_mat -= self.lr * grad_data
             self.scale = max(self.scale - self.lr * grad_scale, 1e-3)

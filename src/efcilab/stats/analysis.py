@@ -88,9 +88,13 @@ def anova_partial_eta2(
     for term in formula.terms:
         base_terms = [t for t in formula.terms if t != term and not _term_contains(t, term)]
         ssr_base, p_base = _ssr_of_terms(design, base_terms, f"model without {term!r}")
-        ssr_with, p_with = _ssr_of_terms(
-            design, base_terms + [term], f"model testing {term!r}"
-        )
+        if len(base_terms) + 1 == len(formula.terms):
+            # no other term contains ``term``: the model testing it is the full model
+            ssr_with, p_with = ss_res, full_fit.n_params
+        else:
+            ssr_with, p_with = _ssr_of_terms(
+                design, base_terms + [term], f"model testing {term!r}"
+            )
         sum_sq = max(ssr_base - ssr_with, 0.0)
         df = p_with - p_base
         if ss_res > 0:

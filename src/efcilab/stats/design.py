@@ -118,10 +118,9 @@ def _is_categorical(var: str) -> bool:
     return var in CATEGORICAL_VARS
 
 
-def _get_value(record: RunRecord, var: str):
+def _check_variable(var: str) -> None:
     if var not in RECORD_VARIABLES:
         raise DesignError(f"unknown variable {var!r}; known: {sorted(RECORD_VARIABLES)}")
-    return getattr(record, var)
 
 
 def _expand_variable(
@@ -131,8 +130,9 @@ def _expand_variable(
     levels_out: dict[str, tuple[str, ...]],
 ) -> list[tuple[str, np.ndarray]]:
     """Columns for one variable: indicators per non-reference level, or the raw values."""
+    _check_variable(var)
     if _is_categorical(var):
-        values = [str(_get_value(r, var)) for r in records]
+        values = [str(getattr(r, var)) for r in records]
         levels = tuple(sorted(set(values)))
         if len(levels) < 2:
             raise DesignError(
@@ -152,7 +152,7 @@ def _expand_variable(
             for lvl in levels
             if lvl != ref
         ]
-    column = np.array([float(_get_value(r, var)) for r in records])
+    column = np.array([float(getattr(r, var)) for r in records])
     return [(var, column)]
 
 
@@ -171,7 +171,8 @@ def encode_design(
 
     if _is_categorical(formula.response):
         raise DesignError(f"response {formula.response!r} must be numeric")
-    y = np.array([float(_get_value(r, formula.response)) for r in records])
+    _check_variable(formula.response)
+    y = np.array([float(getattr(r, formula.response)) for r in records])
 
     labels: list[str] = ["intercept"]
     columns: list[np.ndarray] = [np.ones(len(records))]

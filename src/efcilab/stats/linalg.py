@@ -59,8 +59,12 @@ class QRFactors:
 
 
 def qr_factor(matrix: np.ndarray, rank_tol: float | None = None) -> QRFactors:
-    """Factor ``matrix`` (n x p, n >= p); raise on numerical rank deficiency."""
-    a = np.array(matrix, dtype=float)
+    """Factor ``matrix`` (n x p, n >= p); raise on numerical rank deficiency.
+
+    The working copy is C-ordered whatever the input's layout, so a column
+    subset and the same columns encoded directly factor bit for bit alike.
+    """
+    a = np.array(matrix, dtype=float, order="C")
     n, p = a.shape
     if n < p:
         raise ValueError(f"need at least as many rows as columns, got {n} x {p}")

@@ -1,15 +1,21 @@
-"""Ordinary least squares with inference, diagnostics, and a Gram check."""
+"""Ordinary least squares with inference, diagnostics, and a Gram check.
+
+A fit keeps its QR factors; the leverages (hat diagonal) are computed
+from them on first read, since only the residual diagnostics need them.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .design import DesignMatrix
 from .distributions import f_pvalue, inv_norm_cdf, student_t_pvalue
 from .linalg import (
+    QRFactors,
     RankDeficientError,
     hat_diagonal,
     jacobi_eigenvalues,
@@ -31,7 +37,7 @@ class RegressionFit:
     cov_unscaled: np.ndarray  # (X^T X)^{-1}; sigma2 times it is the coefficient covariance
     fitted: np.ndarray
     residuals: np.ndarray
-    hat_diag: np.ndarray
+    qr: QRFactors = field(repr=False)  # factors of the fitted design
     n_obs: int
     n_params: int
     df_resid: int
@@ -43,6 +49,11 @@ class RegressionFit:
     aic: float
     f_stat: float
     f_pvalue: float
+
+    @cached_property
+    def hat_diag(self) -> np.ndarray:
+        """Leverages: the diagonal of X (X^T X)^{-1} X^T, computed on first read."""
+        return hat_diagonal(self.qr)
 
     def coef(self, label: str) -> tuple[float, float, float, float]:
         """(estimate, se, t, p) for one column label."""
@@ -129,7 +140,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         cov_unscaled=cov_unscaled,
         fitted=fitted,
         residuals=residuals,
-        hat_diag=hat_diagonal(qrf),
+        qr=qrf,
         n_obs=n,
         n_params=p,
         df_resid=df_resid,

@@ -94,6 +94,61 @@ def test_anova_type2_with_interaction_excludes_containing_terms():
     assert table.row("train").sum_sq == pytest.approx(ssr_incr - ssr_incr_train, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "formula, expected",
+    [
+        ("avg_acc ~ train", 2),
+        ("avg_acc ~ train + incr + data", 4),
+        ("avg_acc ~ train + incr + data + acc1", 5),
+        # train and incr each refit their "with" model; train:incr's is the full model
+        ("avg_acc ~ train + incr + train:incr", 6),
+    ],
+)
+def test_anova_fits_full_model_once(monkeypatch, formula, expected):
+    import efcilab.stats.analysis as analysis
+
+    records = make_records(150, seed=8, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
+    calls = []
+    monkeypatch.setattr(analysis, "ols_fit", lambda design: calls.append(1) or ols_fit(design))
+    anova_partial_eta2(records, formula)
+    assert len(calls) == expected
+
+
+def _refit_anova_rows(records, formula):
+    """Type-II rows from explicit base and "with" refits of every term."""
+    design = encode_design(records, formula)
+    full = ols_fit(design)
+    rows = {}
+    for term in design.formula.terms:
+        base = [t for t in design.formula.terms if t != term and term not in t.split(":")]
+        fit_base = ols_fit(design.subset(base))
+        fit_with = ols_fit(design.subset(base + [term]))
+        sum_sq = max(fit_base.ssr - fit_with.ssr, 0.0)
+        df = fit_with.n_params - fit_base.n_params
+        rows[term] = (sum_sq, df, (sum_sq / df) / (full.ssr / full.df_resid),
+                      sum_sq / (sum_sq + full.ssr))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["avg_acc ~ train + incr + data", "avg_acc ~ acc1 + incr + train + data",
+     "avg_acc ~ train + incr + train:incr"],
+)
+def test_anova_matches_explicit_refit_of_every_model(formula):
+    records = make_records(
+        300, seed=9, train_effects={"dino": 0.2, "byol": 0.05},
+        incr_effects={"fetril": 0.1}, data_effects={"d2": 0.03}, acc1_coef=0.3,
+    )
+    table = anova_partial_eta2(records, formula)
+    for term, (sum_sq, df, f_stat, eta_sq) in _refit_anova_rows(records, formula).items():
+        row = table.row(term)
+        assert row.df == df
+        assert row.sum_sq == pytest.approx(sum_sq, rel=1e-12, abs=0.0)
+        assert row.f_stat == pytest.approx(f_stat, rel=1e-12, abs=0.0)
+        assert row.partial_eta_sq == pytest.approx(eta_sq, rel=1e-12, abs=0.0)
+
+
 def test_anova_infeasible_full_model_raises_design_error():
     import dataclasses
 

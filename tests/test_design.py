@@ -1,10 +1,18 @@
 """Design-matrix encoding: treatment coding, references, interactions."""
 
+import re
+
 import numpy as np
 import pytest
 
 from _factories import make_records
-from efcilab.stats.design import DesignError, Formula, encode_design, parse_formula
+from efcilab.stats.design import (
+    RECORD_VARIABLES,
+    DesignError,
+    Formula,
+    encode_design,
+    parse_formula,
+)
 
 
 def test_parse_formula():
@@ -50,6 +58,19 @@ def test_unknown_variable_rejected():
     records = make_records(12, seed=4)
     with pytest.raises(DesignError, match="unknown variable"):
         encode_design(records, "avg_acc ~ epochs")
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["avg_acc ~ train + epochs", "avg_acc ~ train:epochs", "avg_acc ~ epochs:acc1",
+     "epochs ~ train"],
+    ids=["term", "product_right", "product_left", "response"],
+)
+def test_unknown_variable_message_in_every_position(formula):
+    records = make_records(12, seed=4)
+    message = f"unknown variable 'epochs'; known: {sorted(RECORD_VARIABLES)}"
+    with pytest.raises(DesignError, match=f"^{re.escape(message)}$"):
+        encode_design(records, formula)
 
 
 def test_numeric_and_binary_variables_single_column():

@@ -1,5 +1,6 @@
 """OLS fitting, inference, diagnostics, and the Gram collinearity check."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -8,7 +9,7 @@ import pytest
 
 from _factories import make_records
 from efcilab.stats.design import DesignMatrix, Formula, encode_design
-from efcilab.stats.linalg import RankDeficientError
+from efcilab.stats.linalg import RankDeficientError, hat_diagonal, qr_factor
 from efcilab.stats.regression import (
     diagnostics,
     gram_min_eigenvalue,
@@ -130,6 +131,41 @@ def test_hat_diagonal_trace_is_p():
     records = make_records(50, seed=6)
     fit = ols_fit(encode_design(records, "avg_acc ~ train + acc1"))
     assert fit.hat_diag.sum() == pytest.approx(fit.n_params, abs=1e-10)
+
+
+def test_hat_diag_computed_once_on_first_read(monkeypatch):
+    import efcilab.stats.regression as regression
+
+    calls = []
+
+    def counting(qrf):
+        calls.append(qrf)
+        return hat_diagonal(qrf)
+
+    monkeypatch.setattr(regression, "hat_diagonal", counting)
+    design = encode_design(make_records(60, seed=6), "avg_acc ~ train + acc1")
+    fit = ols_fit(design)
+    assert calls == []
+    first = fit.hat_diag
+    assert len(calls) == 1
+    assert fit.hat_diag is first
+    assert len(calls) == 1
+    assert np.array_equal(first, hat_diagonal(qr_factor(design.x)))
+
+
+def test_fit_is_independent_of_design_memory_layout():
+    records = make_records(
+        2000, seed=12, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1}, acc1_coef=0.3
+    )
+    design = encode_design(records, "avg_acc ~ acc1 + incr + train + data")
+    assert design.x.flags.c_contiguous
+    fortran = dataclasses.replace(design, x=np.asfortranarray(design.x))
+    reference = ols_fit(design)
+    for other in (design.subset(design.formula.terms), fortran):
+        fit = ols_fit(other)
+        assert np.array_equal(fit.beta, reference.beta)
+        assert fit.ssr == reference.ssr
+        assert np.array_equal(fit.cov_unscaled, reference.cov_unscaled)
 
 
 def test_qq_slope_near_one_for_normal_residuals():
