@@ -209,7 +209,7 @@ def build_report_bundle(
 def _add_pairwise(bundle: dict, records, formula: str, alpha: float, title: str) -> None:
     try:
         pw = pairwise_comparison(records, formula, alpha=alpha, variable="train")
-    except (DesignError, RankDeficientError) as exc:
+    except DesignError as exc:
         bundle["warnings"].append(f"pairwise {title!r} skipped: {exc}")
         return
     bundle["pairwise"].append(_pairwise_to_dict(pw, title))

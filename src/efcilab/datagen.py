@@ -68,12 +68,7 @@ class FeatureDataset:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for one synthetic dataset.
-
-    ``anisotropy`` stretches the within-class noise: per-dimension standard
-    deviations run linearly from 1 to 1 + anisotropy. Zero (the default)
-    keeps the isotropic unit noise the analytical oracles assume.
-    """
+    """Recipe for one synthetic dataset."""
 
     n_classes: int
     dim: int
@@ -83,7 +78,6 @@ class SynthSpec:
     strategy_tag: str = ""
     seed: int = 0
     name: str = "synthetic"
-    anisotropy: float = 0.0
 
     def validate(self) -> None:
         if self.n_classes < 2:
@@ -94,8 +88,6 @@ class SynthSpec:
             raise DatasetError("per-class train and test counts must be >= 1")
         if self.separation < 0:
             raise DatasetError(f"separation must be >= 0, got {self.separation}")
-        if self.anisotropy < 0:
-            raise DatasetError(f"anisotropy must be >= 0, got {self.anisotropy}")
 
 
 @dataclass(frozen=True)
@@ -133,14 +125,13 @@ def synth_features(spec: SynthSpec) -> FeatureDataset:
     rng = np.random.default_rng(spec.seed & _SEED_MASK)
     means, placement = class_means_frame(spec.n_classes, spec.dim, spec.separation, rng)
 
-    noise_scale = np.linspace(1.0, 1.0 + spec.anisotropy, spec.dim)
     per_class = spec.n_train + spec.n_test
     features = np.empty((spec.n_classes * per_class, spec.dim))
     labels = np.empty(spec.n_classes * per_class, dtype=np.int64)
     is_train = np.zeros(spec.n_classes * per_class, dtype=bool)
     for c in range(spec.n_classes):
         block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = means[c] + noise_scale * rng.standard_normal((per_class, spec.dim))
+        features[block] = means[c] + rng.standard_normal((per_class, spec.dim))
         labels[block] = c
         is_train[block.start : block.start + spec.n_train] = True
 

@@ -28,7 +28,7 @@ from .distributions import (
     regularized_incomplete_beta,
     student_t_pvalue,
 )
-from .linalg import RankDeficientError, jacobi_eigenvalues, least_squares
+from .linalg import RankDeficientError, least_squares
 from .regression import (
     DiagnosticsBundle,
     GramDiagnostic,
@@ -61,7 +61,6 @@ __all__ = [
     "f_pvalue",
     "gram_min_eigenvalue",
     "inv_norm_cdf",
-    "jacobi_eigenvalues",
     "least_squares",
     "log_gamma",
     "ols_fit",

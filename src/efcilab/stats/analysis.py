@@ -18,7 +18,7 @@ import numpy as np
 from .design import DesignError, DesignMatrix, Formula, encode_design, parse_formula
 from .distributions import f_pvalue
 from .linalg import RankDeficientError
-from .regression import ols_fit
+from .regression import RegressionFit, ols_fit
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +59,11 @@ def _term_contains(term: str, variable: str) -> bool:
     return variable in term.split(":")
 
 
-def _ssr_of_terms(design: DesignMatrix, terms: Sequence[str], context: str) -> tuple[float, int]:
-    sub = design.subset(terms)
+def _fit_terms(design: DesignMatrix, terms: Sequence[str], context: str) -> RegressionFit:
     try:
-        fit = ols_fit(sub)
+        return ols_fit(design.subset(terms))
     except RankDeficientError as exc:
         raise DesignError(f"{context}: {exc}") from None
-    return fit.ssr, fit.n_params
 
 
 def anova_partial_eta2(
@@ -87,16 +85,17 @@ def anova_partial_eta2(
     rows: list[AnovaRow] = []
     for term in formula.terms:
         base_terms = [t for t in formula.terms if t != term and not _term_contains(t, term)]
-        ssr_base, p_base = _ssr_of_terms(design, base_terms, f"model without {term!r}")
+        base = _fit_terms(design, base_terms, f"model without {term!r}")
         if len(base_terms) + 1 == len(formula.terms):
             # no other term contains ``term``: the model testing it is the full model
-            ssr_with, p_with = ss_res, full_fit.n_params
+            with_term = full_fit
         else:
-            ssr_with, p_with = _ssr_of_terms(
-                design, base_terms + [term], f"model testing {term!r}"
-            )
-        sum_sq = max(ssr_base - ssr_with, 0.0)
-        df = p_with - p_base
+            with_term = _fit_terms(design, base_terms + [term], f"model testing {term!r}")
+        # nested models: SSR_base - SSR_with = ||fitted_with - fitted_base||^2, formed
+        # without cancellation; an exactly fitting base model leaves nothing to add
+        gap = with_term.fitted - base.fitted
+        sum_sq = float(gap @ gap) if base.ssr > 0 else 0.0
+        df = with_term.n_params - base.n_params
         if ss_res > 0:
             f_stat = (sum_sq / df) / (ss_res / df_res)
             p_val = f_pvalue(f_stat, df, df_res)

@@ -1,27 +1,19 @@
 """Ordinary least squares with inference, diagnostics, and a Gram check.
 
-A fit keeps its QR factors; the leverages (hat diagonal) are computed
-from them on first read, since only the residual diagnostics need them.
+The numerics are numpy's LAPACK: a thin QR for the fit, its Q for the
+leverages (hat diagonal), and ``eigvalsh`` for the Gram check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .design import DesignMatrix
 from .distributions import f_pvalue, inv_norm_cdf, student_t_pvalue
-from .linalg import (
-    QRFactors,
-    RankDeficientError,
-    hat_diagonal,
-    jacobi_eigenvalues,
-    least_squares,
-    unscaled_covariance,
-)
+from .linalg import RankDeficientError, hat_diagonal, least_squares, unscaled_covariance
 
 
 @dataclass
@@ -37,7 +29,7 @@ class RegressionFit:
     cov_unscaled: np.ndarray  # (X^T X)^{-1}; sigma2 times it is the coefficient covariance
     fitted: np.ndarray
     residuals: np.ndarray
-    qr: QRFactors = field(repr=False)  # factors of the fitted design
+    hat_diag: np.ndarray  # leverages: the diagonal of X (X^T X)^{-1} X^T
     n_obs: int
     n_params: int
     df_resid: int
@@ -49,11 +41,6 @@ class RegressionFit:
     aic: float
     f_stat: float
     f_pvalue: float
-
-    @cached_property
-    def hat_diag(self) -> np.ndarray:
-        """Leverages: the diagonal of X (X^T X)^{-1} X^T, computed on first read."""
-        return hat_diagonal(self.qr)
 
     def coef(self, label: str) -> tuple[float, float, float, float]:
         """(estimate, se, t, p) for one column label."""
@@ -85,7 +72,7 @@ class RegressionFit:
 
 
 def ols_fit(design: DesignMatrix) -> RegressionFit:
-    """Fit by pivoted Householder QR; raise naming collinear columns."""
+    """Fit by QR; raise naming the columns that depend on earlier ones."""
     x, y = design.x, design.y
     n, p = x.shape
     if n <= p:
@@ -140,7 +127,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         cov_unscaled=cov_unscaled,
         fitted=fitted,
         residuals=residuals,
-        qr=qrf,
+        hat_diag=hat_diagonal(qrf),
         n_obs=n,
         n_params=p,
         df_resid=df_resid,
@@ -204,17 +191,19 @@ class GramDiagnostic:
     collinear: bool
 
 
-def gram_min_eigenvalue(design: DesignMatrix, rel_threshold: float = 1e-8) -> GramDiagnostic:
-    """Smallest eigenvalue of X^T X via cyclic Jacobi.
+_GRAM_REL_THRESHOLD = 1e-8
+
+
+def gram_min_eigenvalue(design: DesignMatrix) -> GramDiagnostic:
+    """Smallest eigenvalue of X^T X via ``np.linalg.eigvalsh``.
 
     Flags collinearity when the smallest eigenvalue falls below
-    ``rel_threshold`` times the Gram matrix norm (largest eigenvalue).
+    ``_GRAM_REL_THRESHOLD`` times the Gram matrix norm (largest eigenvalue).
     """
-    gram = design.x.T @ design.x
-    eigs = jacobi_eigenvalues(gram)
+    eigs = np.linalg.eigvalsh(design.x.T @ design.x)
     smallest = float(eigs[0])
     largest = float(eigs[-1])
-    threshold = rel_threshold * abs(largest)
+    threshold = _GRAM_REL_THRESHOLD * abs(largest)
     return GramDiagnostic(
         min_eigenvalue=smallest,
         max_eigenvalue=largest,

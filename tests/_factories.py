@@ -1,8 +1,23 @@
-"""Shared builders for synthetic run-record tables used by the stats tests."""
+"""Shared factories for the run-record tables and designs used by the stats tests."""
 
 import numpy as np
 
-from efcilab.stats.design import RunRecord
+from efcilab.stats.design import DesignMatrix, Formula, RunRecord
+
+
+def design_from_arrays(x, y, labels=None) -> DesignMatrix:
+    """A design over raw columns; column 0 is labelled the intercept."""
+    p = x.shape[1]
+    labels = labels or ["intercept"] + [f"x{i}" for i in range(1, p)]
+    return DesignMatrix(
+        formula=Formula("y", tuple(labels[1:])),
+        y=np.asarray(y, dtype=float),
+        x=np.asarray(x, dtype=float),
+        column_labels=list(labels),
+        term_columns={"intercept": [0], **{lab: [i] for i, lab in enumerate(labels[1:], 1)}},
+        reference_levels={},
+        levels={},
+    )
 
 
 def make_records(

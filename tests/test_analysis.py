@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -47,6 +48,33 @@ def test_anova_eta2_matches_independent_ss_assembly():
         assert row.sum_sq == pytest.approx(ss_drop, rel=1e-8, abs=1e-10)
         assert row.partial_eta_sq == pytest.approx(ss_drop / (ss_drop + ssr_full), rel=1e-8)
     assert table.residual_sum_sq == pytest.approx(ssr_full, rel=1e-10)
+
+
+def mp_ssr(design, terms):
+    """SSR of the model on ``terms`` from the normal equations in 50 digits."""
+    sub = design.subset(terms)
+    with mp.workdps(50):
+        x = mp.matrix(sub.x.tolist())
+        y = mp.matrix(sub.y.tolist())
+        resid = y - x * mp.lu_solve(x.T * x, x.T * y)
+        return sum(r * r for r in resid)
+
+
+def test_anova_null_term_sum_sq_matches_high_precision_reference():
+    # heavy noise, no data effect: the sum of squares is a small difference of
+    # two large residual sums of squares
+    records = make_records(300, seed=81, noise=10.0)
+    design = encode_design(records, "avg_acc ~ train + data")
+    row = anova_partial_eta2(records, "avg_acc ~ train + data").row("data")
+    with mp.workdps(50):
+        ref = mp_ssr(design, ["train"]) - mp_ssr(design, ["train", "data"])
+        assert abs((row.sum_sq - ref) / ref) <= 1e-10
+
+
+def test_anova_exact_fit_null_term_has_zero_sum_sq():
+    records = make_records(60, seed=3, train_effects={"dino": 0.3}, noise=0.0)
+    row = anova_partial_eta2(records, "avg_acc ~ train + incr").row("incr")
+    assert (row.sum_sq, row.f_stat, row.p_value, row.partial_eta_sq) == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_anova_invariant_to_term_order():

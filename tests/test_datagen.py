@@ -75,23 +75,6 @@ def test_more_classes_than_dims_uses_random_placement():
     assert ds2.meta["mean_placement"] == "orthonormal-frame"
 
 
-def test_anisotropy_stretches_noise_per_dimension():
-    iso = SynthSpec(n_classes=2, dim=4, n_train=4000, n_test=2, separation=0.0, seed=4)
-    stretched = SynthSpec(
-        n_classes=2, dim=4, n_train=4000, n_test=2, separation=0.0, seed=4, anisotropy=2.0
-    )
-    x_iso, y_iso = synth_features(iso).train_arrays()
-    x_an, y_an = synth_features(stretched).train_arrays()
-    stds_iso = x_iso[y_iso == 0].std(axis=0)
-    stds_an = x_an[y_an == 0].std(axis=0)
-    assert np.allclose(stds_iso, 1.0, atol=0.08)
-    assert np.allclose(stds_an, np.linspace(1.0, 3.0, 4), atol=0.15)
-    with pytest.raises(DatasetError, match="anisotropy"):
-        SynthSpec(
-            n_classes=2, dim=4, n_train=1, n_test=1, separation=1.0, anisotropy=-1.0
-        ).validate()
-
-
 def test_same_seed_same_bytes(tmp_path):
     spec = SynthSpec(n_classes=3, dim=5, n_train=4, n_test=2, separation=1.0, seed=42)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
