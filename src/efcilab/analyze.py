@@ -3,12 +3,13 @@
 The bundle is a plain JSON-serializable dict: metric correlations,
 screening tables, AIC model selection, ANOVA tables with partial eta
 squared, pairwise strategy comparisons (overall and per subgroup), and
-regression diagnostics for the selected accuracy model.
+regression diagnostics for the selected accuracy model; NaN is written as
+None. The records become one column table (pairwise subgroups are masked
+takes of it), and every section fits through its memo: each distinct model
+is fitted once per bundle, and the memo goes with the table.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -19,13 +20,14 @@ from .stats.analysis import (
     AnovaTable,
     PairwiseMatrix,
     anova_partial_eta2,
+    fit_model,
     pairwise_comparison,
     screen_variables,
     select_model_aic,
 )
-from .stats.design import DesignError, RunRecord, encode_design, parse_formula
+from .stats.design import DesignError, RecordTable, RunRecord, parse_formula, record_table
 from .stats.linalg import RankDeficientError
-from .stats.regression import diagnostics, gram_min_eigenvalue, ols_fit
+from .stats.regression import diagnostics, gram_min_eigenvalue
 
 SCREENING_CANDIDATES = (
     "acc1",
@@ -101,8 +103,8 @@ def _pairwise_to_dict(pw: PairwiseMatrix, title: str) -> dict:
         "variable": pw.variable,
         "response": pw.response,
         "levels": list(pw.levels),
-        "gain": pw.gain.tolist(),
-        "p_values": pw.p_values.tolist(),
+        "gain": _nan_to_none(pw.gain),
+        "p_values": _nan_to_none(pw.p_values),
         "significant": pw.significant.tolist(),
         "estimable": pw.estimable.tolist(),
         "n_tests": pw.n_tests,
@@ -111,24 +113,12 @@ def _pairwise_to_dict(pw: PairwiseMatrix, title: str) -> dict:
     }
 
 
-def _drop_nan(obj):
-    """NaN -> None recursively, so bundles survive a JSON round trip intact.
+def _nan_to_none(values: np.ndarray) -> list:
+    """Nested lists with None for NaN, so the bundle survives a JSON round trip.
 
-    Infinities are kept: the json module round-trips them and they compare
-    equal, unlike NaN.
+    Infinities are kept: they round-trip and compare equal, unlike NaN.
     """
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _drop_nan(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_drop_nan(v) for v in obj]
-    return obj
-
-
-def _response_variance(records: list[RunRecord], response: str) -> float:
-    values = np.array([getattr(r, response) for r in records], dtype=float)
-    return float(values.var())
+    return np.where(np.isnan(values), None, values).tolist()
 
 
 def build_report_bundle(
@@ -139,13 +129,12 @@ def build_report_bundle(
     """Run the full analysis pipeline over the records."""
     if len(records) < 3:
         raise AnalysisError(f"need at least 3 result rows to analyze, got {len(records)}")
+    table = record_table(records)
     warnings: list[str] = []
 
-    metric_rows = [
-        MetricSet(acc1=r.acc1, avg_acc=r.avg_acc, forgetting=r.forgetting, accK=r.accK)
-        for r in records
-    ]
-    corr = metric_correlations(metric_rows)
+    corr = metric_correlations(
+        [MetricSet(r.acc1, r.avg_acc, r.forgetting, r.accK) for r in records]
+    )
     bundle: dict = {
         "version": __version__,
         "alpha": alpha,
@@ -153,7 +142,7 @@ def build_report_bundle(
         "n_records": len(records),
         "correlations": {
             "labels": list(corr.labels),
-            "values": corr.values.tolist(),
+            "values": _nan_to_none(corr.values),
             "defined": corr.defined.tolist(),
         },
         "screening": {},
@@ -167,16 +156,16 @@ def build_report_bundle(
 
     usable_responses = []
     for response in ("avg_acc", "forgetting"):
-        if _response_variance(records, response) == 0.0:
+        if float(table.columns[response].var()) == 0.0:
             warnings.append(f"response {response!r} has zero variance; its models were skipped")
             continue
         usable_responses.append(response)
         bundle["screening"][response] = [
             {"variable": row.variable, "p_value": row.p_value, "r_squared": row.r_squared}
-            for row in screen_variables(records, response, SCREENING_CANDIDATES, alpha)
+            for row in screen_variables(table, response, SCREENING_CANDIDATES, alpha)
         ]
         try:
-            selection = select_model_aic(records, response, AIC_LADDERS[response])
+            selection = select_model_aic(table, response, AIC_LADDERS[response])
             bundle["aic"][response] = {
                 "best": str(selection.best),
                 "candidates": [
@@ -197,13 +186,13 @@ def build_report_bundle(
         if response not in usable_responses:
             continue
         try:
-            bundle["anova"].append(_anova_to_dict(anova_partial_eta2(records, model)))
+            bundle["anova"].append(_anova_to_dict(anova_partial_eta2(table, model)))
         except DesignError as exc:
             warnings.append(f"ANOVA for {model!r} skipped: {exc}")
 
-    _add_pairwise_sections(bundle, records, alpha, usable_responses)
-    _add_diagnostics(bundle, records, usable_responses, warnings)
-    return _drop_nan(bundle)
+    _add_pairwise_sections(bundle, table, alpha, usable_responses)
+    _add_diagnostics(bundle, table, usable_responses, warnings)
+    return bundle
 
 
 def _add_pairwise(bundle: dict, records, formula: str, alpha: float, title: str) -> None:
@@ -215,53 +204,52 @@ def _add_pairwise(bundle: dict, records, formula: str, alpha: float, title: str)
     bundle["pairwise"].append(_pairwise_to_dict(pw, title))
 
 
-def _add_pairwise_sections(bundle, records, alpha, usable_responses) -> None:
+def _add_pairwise_sections(bundle, table: RecordTable, alpha, usable_responses) -> None:
     if "avg_acc" in usable_responses:
-        _add_pairwise(bundle, records, "avg_acc ~ incr + train + data", alpha, "accuracy overall")
-        for lvl in sorted({r.data for r in records}):
+        _add_pairwise(bundle, table, "avg_acc ~ incr + train + data", alpha, "accuracy overall")
+        for code, lvl in enumerate(table.levels["data"]):
             _add_pairwise(
                 bundle,
-                [r for r in records if r.data == lvl],
+                table.take(table.columns["data"] == code),
                 "avg_acc ~ incr + train",
                 alpha,
                 f"accuracy on dataset {lvl}",
             )
-        for lvl in sorted({r.incr for r in records}):
+        for code, lvl in enumerate(table.levels["incr"]):
             _add_pairwise(
                 bundle,
-                [r for r in records if r.incr == lvl],
+                table.take(table.columns["incr"] == code),
                 "avg_acc ~ train + data",
                 alpha,
                 f"accuracy with method {lvl}",
             )
         # scenario flag encodes the initial-class share (equal vs half split)
-        for lvl in sorted({r.scenario_b for r in records}):
+        for lvl in sorted(set(table.columns["scenario_b"].tolist())):
             _add_pairwise(
                 bundle,
-                [r for r in records if r.scenario_b == lvl],
+                table.take(table.columns["scenario_b"] == lvl),
                 "avg_acc ~ incr + train + data",
                 alpha,
                 f"accuracy with initial-class share {'50%' if lvl else 'equal'}",
             )
     if "forgetting" in usable_responses:
         _add_pairwise(
-            bundle, records, "forgetting ~ incr + train + data", alpha, "forgetting overall"
+            bundle, table, "forgetting ~ incr + train + data", alpha, "forgetting overall"
         )
 
 
-def _add_diagnostics(bundle, records, usable_responses, warnings) -> None:
+def _add_diagnostics(bundle, table: RecordTable, usable_responses, warnings) -> None:
     if "avg_acc" not in usable_responses:
         return
     model = bundle.get("aic", {}).get("avg_acc", {}).get("best", "avg_acc ~ incr + train + data")
     try:
-        design = encode_design(records, model)
-        fit = ols_fit(design)
+        fit = fit_model(table, model)
     except (DesignError, RankDeficientError) as exc:
         warnings.append(f"diagnostics for {model!r} skipped: {exc}")
         return
     bundle["coefficients"] = {"formula": model, "rows": _coef_rows(fit)}
     diag = diagnostics(fit)
-    gram = gram_min_eigenvalue(design)
+    gram = gram_min_eigenvalue(fit.design())
     bundle["diagnostics"] = {
         "formula": model,
         "r_squared": fit.r_squared,
@@ -292,9 +280,3 @@ def _coef_rows(fit) -> list[dict]:
         }
         for i, label in enumerate(fit.column_labels)
     ]
-
-
-def coefficient_summary(records: list[RunRecord], formula: str) -> list[dict]:
-    """Per-coefficient table (estimate, se, t, p) for one model."""
-    return _coef_rows(ols_fit(encode_design(records, formula)))
-

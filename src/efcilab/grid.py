@@ -173,8 +173,9 @@ def run_grid(cfg: GridConfig, jobs: int = 1) -> ResultsTable:
     for spec in enumerate_runs(cfg):
         cells.setdefault((spec.data, spec.train, spec.rep), []).append(spec)
     tasks = [(cfg, specs) for specs in cells.values()]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool for one cell only adds its start-up
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_run_cell, tasks))
     else:
         per_cell = [_run_cell(t) for t in tasks]

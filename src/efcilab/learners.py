@@ -84,28 +84,6 @@ class AccuracyMatrix:
             lines.append(f"{k},cumulative,{self.cumulative_accuracy(k)!r}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "AccuracyMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "step,subset,accuracy":
-            raise ValueError("malformed accuracy-matrix CSV")
-        entries: dict[tuple[int, str], float] = {}
-        k_max = 0
-        for ln in lines[1:]:
-            step_s, subset, acc_s = ln.split(",")
-            entries[(int(step_s), subset)] = float(acc_s)
-            k_max = max(k_max, int(step_s))
-        per_subset = np.full((k_max, k_max), np.nan)
-        cumulative = np.full(k_max, np.nan)
-        for (k, subset), acc in entries.items():
-            if subset == "cumulative":
-                cumulative[k - 1] = acc
-            else:
-                per_subset[k - 1, int(subset) - 1] = acc
-        matrix = cls(per_subset=per_subset, cumulative=cumulative)
-        matrix.validate()
-        return matrix
-
 
 def argmax_by_class(scores: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
     """Row-wise argmax over score columns; ties resolved to the lowest id."""

@@ -111,31 +111,6 @@ def build_scenario(
     return Scenario(kind=kind, steps=tuple(steps))
 
 
-def scenario_to_text(sc: Scenario) -> str:
-    """Canonical text form: K, b as a fraction, one class-id line per step."""
-    frac = sc.initial_fraction
-    lines = [f"K={sc.n_steps}", f"b={frac.numerator}/{frac.denominator}", f"kind={sc.kind}"]
-    for step in sc.steps:
-        lines.append(" ".join(str(c) for c in step))
-    return "\n".join(lines) + "\n"
-
-
-def scenario_from_text(text: str) -> Scenario:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 4 or not lines[0].startswith("K=") or not lines[1].startswith("b="):
-        raise ScenarioError("malformed scenario document")
-    k = int(lines[0][2:])
-    kind = lines[2].removeprefix("kind=")
-    steps = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[3:])
-    if len(steps) != k:
-        raise ScenarioError(f"scenario document announces K={k} but has {len(steps)} step lines")
-    sc = Scenario(kind=kind, steps=steps)
-    num, den = (int(p) for p in lines[1][2:].split("/"))
-    if sc.initial_fraction != Fraction(num, den):
-        raise ScenarioError("scenario document b does not match its step sizes")
-    return sc
-
-
 def partition_dataset(ds, sc: Scenario) -> list[StepView]:
     """Materialize the per-step views of ``ds`` under scenario ``sc``.
 

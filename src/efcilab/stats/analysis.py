@@ -5,20 +5,54 @@ model holding every term that does not contain it), which makes the
 table invariant to term declaration order. Pairwise comparisons read
 every level pair from one fit's coefficients and covariance and gate
 significance with a Bonferroni-corrected threshold over unordered pairs.
+All of them fit through ``fit_model``, the fit memo of a record table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .design import DesignError, DesignMatrix, Formula, encode_design, parse_formula
+from .design import DesignError, Formula, RecordTable, encode_design, parse_formula, record_table
 from .distributions import f_pvalue
 from .linalg import RankDeficientError
 from .regression import RegressionFit, ols_fit
+
+
+def fit_model(
+    records,
+    formula: Formula | str,
+    reference_levels: dict[str, str] | None = None,
+) -> RegressionFit:
+    """OLS fit of ``formula``, memoised on the record table.
+
+    The key is (response, terms, reference levels), so callers that share a
+    table fit each distinct model once; a model that cannot be fitted raises
+    again without a retry. The fits returned share their estimate arrays,
+    which callers must not modify.
+    """
+    if isinstance(formula, str):
+        formula = parse_formula(formula)
+    table = record_table(records)
+    refs = reference_levels or {}
+    key = (formula.response, formula.terms, tuple(sorted(refs.items())))
+    if key not in table.fits:
+        try:
+            fit = ols_fit(encode_design(table, formula, refs))
+        except (DesignError, RankDeficientError) as exc:
+            table.fits[key] = exc.with_traceback(None)  # a traceback would pin the call's arrays
+        else:
+            table.fits[key] = dataclasses.replace(fit, design=None)  # estimates only
+    fit = table.fits[key]
+    if isinstance(fit, Exception):
+        raise fit
+    # each caller gets a copy that re-encodes its rows when it reads per-row arrays
+    return dataclasses.replace(fit, design=partial(encode_design, table, formula, refs))
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +93,11 @@ def _term_contains(term: str, variable: str) -> bool:
     return variable in term.split(":")
 
 
-def _fit_terms(design: DesignMatrix, terms: Sequence[str], context: str) -> RegressionFit:
+def _fit_terms(table: RecordTable, formula: Formula, terms, refs, context: str) -> RegressionFit:
+    """Fit of ``formula`` cut down to ``terms`` (kept in formula order)."""
+    kept = tuple(t for t in formula.terms if t in terms)
     try:
-        return ols_fit(design.subset(terms))
+        return fit_model(table, Formula(formula.response, kept), refs)
     except RankDeficientError as exc:
         raise DesignError(f"{context}: {exc}") from None
 
@@ -74,23 +110,19 @@ def anova_partial_eta2(
     """Type-II ANOVA with partial eta squared per variable."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    design = encode_design(records, formula, reference_levels)
-    try:
-        full_fit = ols_fit(design)
-    except RankDeficientError as exc:
-        raise DesignError(f"full model {formula}: {exc}") from None
+    table = record_table(records)
+    full_fit = _fit_terms(table, formula, formula.terms, reference_levels, f"full model {formula}")
     ss_res = full_fit.ssr
     df_res = full_fit.df_resid
 
     rows: list[AnovaRow] = []
     for term in formula.terms:
         base_terms = [t for t in formula.terms if t != term and not _term_contains(t, term)]
-        base = _fit_terms(design, base_terms, f"model without {term!r}")
-        if len(base_terms) + 1 == len(formula.terms):
-            # no other term contains ``term``: the model testing it is the full model
-            with_term = full_fit
-        else:
-            with_term = _fit_terms(design, base_terms + [term], f"model testing {term!r}")
+        base = _fit_terms(table, formula, base_terms, reference_levels, f"model without {term!r}")
+        # when no other term contains ``term`` this is the full model, fitted once
+        with_term = _fit_terms(
+            table, formula, base_terms + [term], reference_levels, f"model testing {term!r}"
+        )
         # nested models: SSR_base - SSR_with = ||fitted_with - fitted_base||^2, formed
         # without cancellation; an exactly fitting base model leaves nothing to add
         gap = with_term.fitted - base.fitted
@@ -145,10 +177,11 @@ def screen_variables(
     column, too few rows) are silently excluded, as are those whose
     model p-value misses ``alpha``.
     """
+    table = record_table(records)
     rows: list[ScreeningRow] = []
     for var in candidates:
         try:
-            fit = ols_fit(encode_design(records, Formula(response, (var,))))
+            fit = fit_model(table, Formula(response, (var,)))
         except (DesignError, RankDeficientError):
             continue
         p_val = fit.f_pvalue
@@ -183,6 +216,7 @@ def select_model_aic(
     Ties (within 1e-9) prefer fewer parameters, then earlier declaration.
     Unfittable formulas are reported and skipped.
     """
+    table = record_table(records)
     candidates: list[ModelCandidate] = []
     best: tuple[float, int, int] | None = None  # (aic, n_params, index)
     best_formula: Formula | None = None
@@ -193,7 +227,7 @@ def select_model_aic(
                 f"candidate {text!r} models {formula.response!r}, expected {response!r}"
             )
         try:
-            fit = ols_fit(encode_design(records, formula))
+            fit = fit_model(table, formula)
         except (DesignError, RankDeficientError) as exc:
             candidates.append(ModelCandidate(text, None, None, str(exc)))
             continue
@@ -261,7 +295,8 @@ def pairwise_comparison(
     # the compared variable's own reference level changes no contrast
     refs = {k: v for k, v in (reference_levels or {}).items() if k != variable}
 
-    levels = tuple(sorted({str(getattr(r, variable)) for r in records}))
+    table = record_table(records)
+    levels = table.levels.get(variable, ())
     n_levels = len(levels)
     if n_levels < 2:
         raise DesignError(f"pairwise comparison needs >= 2 levels of {variable!r}")
@@ -273,16 +308,15 @@ def pairwise_comparison(
     estimable = np.zeros((n_levels, n_levels), dtype=bool)
 
     try:
-        design = encode_design(records, formula, refs)
-        fit = ols_fit(design)
+        fit = fit_model(table, formula, refs)
     except (DesignError, RankDeficientError):
         pass  # the rank does not depend on the reference level: no pair is estimable
     else:
-        # rows pick each level's coefficient; the reference level's row stays zero
+        # rows pick each level's coefficient; the reference level (the first, as refs
+        # leaves ``variable`` out) has none and its row stays zero
         pick = np.zeros((n_levels, fit.n_params))
-        for i, level in enumerate(levels):
-            if level != design.reference_levels[variable]:
-                pick[i, fit.column_labels.index(f"{variable}[{level}]")] = 1.0
+        for i, level in enumerate(levels[1:], start=1):
+            pick[i, fit.column_labels.index(f"{variable}[{level}]")] = 1.0
         beta = pick @ fit.beta
         cov = pick @ fit.cov_unscaled @ pick.T
         var = np.diag(cov)[:, None] + np.diag(cov)[None, :] - 2.0 * cov

@@ -1,5 +1,7 @@
-"""Run records, formulas, and treatment-coded design matrices.
+"""Run records, formulas, column tables, and treatment-coded design matrices.
 
+Records are encoded through a column table: one numpy array per variable,
+built in one pass, with categoricals as codes into their sorted levels.
 Categorical factors are one-hot encoded with a dropped reference level;
 numeric and binary factors enter as single columns. Column order is
 deterministic: intercept first, then terms in declaration order with
@@ -9,6 +11,7 @@ levels sorted lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -91,31 +94,42 @@ class DesignMatrix:
     def p(self) -> int:
         return int(self.x.shape[1])
 
-    def subset(self, terms: Sequence[str]) -> "DesignMatrix":
-        """Design restricted to the intercept plus the given terms."""
-        keep = list(self.term_columns["intercept"])
-        kept_terms: dict[str, list[int]] = {"intercept": [0]}
-        cursor = 1
-        for term in self.formula.terms:
-            if term not in terms:
-                continue
-            cols = self.term_columns[term]
-            keep.extend(cols)
-            kept_terms[term] = list(range(cursor, cursor + len(cols)))
-            cursor += len(cols)
-        return DesignMatrix(
-            formula=Formula(self.formula.response, tuple(t for t in self.formula.terms if t in terms)),
-            y=self.y,
-            x=self.x[:, keep],
-            column_labels=[self.column_labels[i] for i in keep],
-            term_columns=kept_terms,
-            reference_levels=dict(self.reference_levels),
-            levels=dict(self.levels),
-        )
+
+class RecordTable:
+    """A record set as columns: variable -> numpy array, one entry per record.
+
+    Numeric variables are floats; categorical ones are codes into
+    ``levels[var]``, their sorted distinct values. ``fits`` memoises the
+    model fits over these rows (``stats.analysis.fit_model``).
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray], levels: dict[str, tuple[str, ...]]):
+        self.columns, self.levels, self.fits = columns, levels, {}
+        self.n = len(columns[RECORD_VARIABLES[0]])
+
+    def take(self, mask: np.ndarray) -> RecordTable:
+        """The rows where ``mask`` is True, with only the levels they use."""
+        columns = {var: col[mask] for var, col in self.columns.items()}
+        levels = {}
+        for var, var_levels in self.levels.items():
+            used, columns[var] = np.unique(columns[var], return_inverse=True)
+            levels[var] = tuple(var_levels[i] for i in used)
+        return RecordTable(columns, levels)
 
 
-def _is_categorical(var: str) -> bool:
-    return var in CATEGORICAL_VARS
+def record_table(records: Sequence[RunRecord] | RecordTable) -> RecordTable:
+    """``records`` as a column table, built in one pass; a table passes through."""
+    if isinstance(records, RecordTable):
+        return records
+    values = list(zip(*map(attrgetter(*RECORD_VARIABLES), records))) or [()] * len(RECORD_VARIABLES)
+    columns, levels = {}, {}
+    for var, column in zip(RECORD_VARIABLES, values):
+        if var in CATEGORICAL_VARS:
+            uniques, columns[var] = np.unique(np.array(column, dtype=str), return_inverse=True)
+            levels[var] = tuple(uniques.tolist())
+        else:
+            columns[var] = np.array(column, dtype=float)
+    return RecordTable(columns, levels)
 
 
 def _check_variable(var: str) -> None:
@@ -124,66 +138,68 @@ def _check_variable(var: str) -> None:
 
 
 def _expand_variable(
-    records: Sequence[RunRecord],
+    table: RecordTable,
     var: str,
     reference_levels: dict[str, str],
     levels_out: dict[str, tuple[str, ...]],
 ) -> list[tuple[str, np.ndarray]]:
     """Columns for one variable: indicators per non-reference level, or the raw values."""
     _check_variable(var)
-    if _is_categorical(var):
-        values = [str(getattr(r, var)) for r in records]
-        levels = tuple(sorted(set(values)))
-        if len(levels) < 2:
-            raise DesignError(
-                f"variable {var!r} has a single level ({levels[0]!r}); nothing to contrast"
-            )
-        levels_out[var] = levels
-        ref = reference_levels.get(var, levels[0])
-        if ref not in levels:
-            raise DesignError(
-                f"reference level {ref!r} for {var!r} does not occur in the records "
-                f"(levels: {list(levels)})"
-            )
-        reference_levels[var] = ref
-        value_arr = np.array(values)
-        return [
-            (f"{var}[{lvl}]", (value_arr == lvl).astype(float))
-            for lvl in levels
-            if lvl != ref
-        ]
-    column = np.array([float(getattr(r, var)) for r in records])
-    return [(var, column)]
+    if var not in CATEGORICAL_VARS:
+        return [(var, table.columns[var])]
+    levels = table.levels[var]
+    if len(levels) < 2:
+        raise DesignError(
+            f"variable {var!r} has a single level ({levels[0]!r}); nothing to contrast"
+        )
+    levels_out[var] = levels
+    ref = reference_levels.get(var, levels[0])
+    if ref not in levels:
+        raise DesignError(
+            f"reference level {ref!r} for {var!r} does not occur in the records "
+            f"(levels: {list(levels)})"
+        )
+    reference_levels[var] = ref
+    codes = table.columns[var]
+    return [
+        (f"{var}[{lvl}]", (codes == code).astype(float))
+        for code, lvl in enumerate(levels)
+        if lvl != ref
+    ]
 
 
 def encode_design(
-    records: Sequence[RunRecord],
+    records: Sequence[RunRecord] | RecordTable,
     formula: Formula | str,
     reference_levels: dict[str, str] | None = None,
 ) -> DesignMatrix:
-    """Build the treatment-coded design matrix for ``formula`` over ``records``."""
+    """Build the treatment-coded design matrix for ``formula`` over ``records``.
+
+    ``records`` is a column table or a list of records, converted once here.
+    """
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    if not records:
+    table = record_table(records)
+    if table.n == 0:
         raise DesignError("no records to encode")
     refs = dict(reference_levels or {})
     levels: dict[str, tuple[str, ...]] = {}
 
-    if _is_categorical(formula.response):
+    if formula.response in CATEGORICAL_VARS:
         raise DesignError(f"response {formula.response!r} must be numeric")
     _check_variable(formula.response)
-    y = np.array([float(getattr(r, formula.response)) for r in records])
+    y = table.columns[formula.response]
 
     labels: list[str] = ["intercept"]
-    columns: list[np.ndarray] = [np.ones(len(records))]
+    columns: list[np.ndarray] = [np.ones(table.n)]
     term_columns: dict[str, list[int]] = {"intercept": [0]}
     for term in formula.terms:
         parts = term.split(":")
         if len(parts) == 1:
-            expanded = _expand_variable(records, parts[0], refs, levels)
+            expanded = _expand_variable(table, parts[0], refs, levels)
         elif len(parts) == 2:
-            left = _expand_variable(records, parts[0], refs, levels)
-            right = _expand_variable(records, parts[1], refs, levels)
+            left = _expand_variable(table, parts[0], refs, levels)
+            right = _expand_variable(table, parts[1], refs, levels)
             expanded = [
                 (f"{lname}:{rname}", lcol * rcol)
                 for lname, lcol in left

@@ -8,18 +8,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .design import DesignMatrix
 from .distributions import f_pvalue, inv_norm_cdf, student_t_pvalue
-from .linalg import RankDeficientError, hat_diagonal, least_squares, unscaled_covariance
+from .linalg import RankDeficientError, hat_diagonal, least_squares, qr_factor, unscaled_covariance
 
 
 @dataclass
 class RegressionFit:
-    """OLS estimates with Student-t inference and fit statistics."""
+    """OLS estimates with Student-t inference and fit statistics.
 
+    ``design`` returns the fit's design; the per-row quantities (fitted
+    values, residuals, leverages) are computed from it on first read.
+    """
+
+    design: Callable[[], DesignMatrix]
     formula: str
     column_labels: list[str]
     beta: np.ndarray
@@ -27,9 +34,6 @@ class RegressionFit:
     t_stats: np.ndarray
     p_values: np.ndarray
     cov_unscaled: np.ndarray  # (X^T X)^{-1}; sigma2 times it is the coefficient covariance
-    fitted: np.ndarray
-    residuals: np.ndarray
-    hat_diag: np.ndarray  # leverages: the diagonal of X (X^T X)^{-1} X^T
     n_obs: int
     n_params: int
     df_resid: int
@@ -41,6 +45,19 @@ class RegressionFit:
     aic: float
     f_stat: float
     f_pvalue: float
+
+    @cached_property
+    def fitted(self) -> np.ndarray:
+        return self.design().x @ self.beta
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return self.design().y - self.fitted
+
+    @cached_property
+    def hat_diag(self) -> np.ndarray:
+        """Leverages: the diagonal of X (X^T X)^{-1} X^T."""
+        return hat_diagonal(qr_factor(self.design().x))
 
     def coef(self, label: str) -> tuple[float, float, float, float]:
         """(estimate, se, t, p) for one column label."""
@@ -87,8 +104,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
             f"collinear design columns: {names}", exc.column_indices
         ) from None
 
-    fitted = x @ beta
-    residuals = y - fitted
+    residuals = y - x @ beta
     ssr = float(residuals @ residuals)
     sst = float(np.sum((y - y.mean()) ** 2))
     if ssr <= 1e-24 * max(sst, float(y @ y), 1e-300):
@@ -118,6 +134,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         f_stat, f_p = math.nan, math.nan
 
     fit = RegressionFit(
+        design=lambda: design,
         formula=str(design.formula),
         column_labels=list(design.column_labels),
         beta=beta,
@@ -125,9 +142,6 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         t_stats=np.empty(p),
         p_values=np.empty(p),
         cov_unscaled=cov_unscaled,
-        fitted=fitted,
-        residuals=residuals,
-        hat_diag=hat_diagonal(qrf),
         n_obs=n,
         n_params=p,
         df_resid=df_resid,

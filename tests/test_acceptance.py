@@ -3,7 +3,7 @@
 Each criterion is checked at its stated tolerance against independently
 written oracles (brute-force metric evaluation, normal-equation solves,
 high-precision incomplete beta, batch LDA, central finite differences).
-Criteria 8-10 run the shipped default synthetic grid.
+Criteria 8-11 run the shipped default synthetic grid.
 """
 
 import time
@@ -375,7 +375,7 @@ def test_criterion_07_balanced_softmax_gradient_check():
 
 
 # ---------------------------------------------------------------------------
-# Criteria 8-10: the shipped default grid
+# Criteria 8-11: the shipped default grid
 
 
 @pytest.fixture(scope="module")
@@ -449,4 +449,16 @@ def test_criterion_10_byte_identical_rerun(default_grid, tmp_path_factory):
         10,
         "rerunning the grid and the analysis reproduces byte-identical results and reports",
         results_identical and reports_identical,
+    )
+
+
+def test_criterion_11_qualitative_accuracy_anova(default_grid):
+    _, table, _ = default_grid
+    ranked = anova_partial_eta2(table.records, "avg_acc ~ incr + train + data").ranked()
+    _verdict(
+        11,
+        "default grid: average-accuracy ANOVA ranks the initial training strategy first "
+        "by partial eta^2",
+        ranked[0].variable == "train",
+        f"eta2={[(r.variable, round(r.partial_eta_sq, 3)) for r in ranked]}",
     )

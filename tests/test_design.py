@@ -1,17 +1,22 @@
 """Design-matrix encoding: treatment coding, references, interactions."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from _factories import make_records
+from efcilab.analyze import AIC_LADDERS, ANOVA_MODELS
+from efcilab.stats.analysis import screen_variables
 from efcilab.stats.design import (
+    CATEGORICAL_VARS,
     RECORD_VARIABLES,
     DesignError,
     Formula,
     encode_design,
     parse_formula,
+    record_table,
 )
 
 
@@ -108,15 +113,72 @@ def test_three_way_products_unsupported():
         encode_design(records, "avg_acc ~ train:incr:data")
 
 
-def test_subset_keeps_intercept_and_selected_terms():
-    records = make_records(40, seed=10)
-    design = encode_design(records, "avg_acc ~ train + acc1 + incr")
-    sub = design.subset(["acc1"])
-    assert sub.column_labels == ["intercept", "acc1"]
-    assert np.allclose(sub.x[:, 1], design.x[:, design.term_columns["acc1"][0]])
-
-
 def test_categorical_response_rejected():
     records = make_records(10, seed=11)
     with pytest.raises(DesignError, match="must be numeric"):
         encode_design(records, Formula("train", ("acc1",)))
+
+
+def reference_design(records, formula):
+    """Record-by-record encoding, the way the column table must reproduce it."""
+    formula = parse_formula(formula)
+    levels = {}
+
+    def expand(var):
+        values = [getattr(r, var) for r in records]
+        if var not in CATEGORICAL_VARS:
+            return [(var, np.array([float(v) for v in values]))]
+        levels[var] = tuple(sorted(set(values)))
+        return [
+            (f"{var}[{lvl}]", np.array([1.0 if v == lvl else 0.0 for v in values]))
+            for lvl in levels[var][1:]
+        ]
+
+    labels, columns = ["intercept"], [np.ones(len(records))]
+    for term in formula.terms:
+        parts = [expand(var) for var in term.split(":")]
+        if len(parts) == 2:
+            parts = [[(f"{a}:{b}", ca * cb) for a, ca in parts[0] for b, cb in parts[1]]]
+        for label, column in parts[0]:
+            labels.append(label)
+            columns.append(column)
+    y = np.array([float(getattr(r, formula.response)) for r in records])
+    return np.column_stack(columns), y, labels, levels
+
+
+BUNDLE_FORMULAS = sorted(
+    {f for ladder in AIC_LADDERS.values() for f in ladder} | set(ANOVA_MODELS)
+    | {"avg_acc ~ train + incr + train:incr"}
+)
+
+
+@pytest.mark.parametrize("formula", BUNDLE_FORMULAS)
+def test_column_table_design_equals_record_encoding(formula):
+    records = make_records(
+        200, seed=14, incr_levels=("dslda", "fetril", "ncm"), data_levels=("d1", "d2", "d3")
+    )
+    table = record_table(records)
+    keep = table.columns["train"] != table.levels["train"].index("scratch")
+    kept = [r for r in records if r.train != "scratch"]
+    for rows, subset in ((table, records), (table.take(keep), kept)):
+        design = encode_design(rows, formula)
+        x, y, labels, levels = reference_design(subset, formula)
+        assert design.column_labels == labels
+        assert np.array_equal(design.x, x)
+        assert np.array_equal(design.y, y)
+        assert design.levels == levels
+
+
+def test_single_level_message_and_screening_skip():
+    records = [dataclasses.replace(r, data="d1") for r in make_records(50, seed=15)]
+    message = "variable 'data' has a single level ('d1'); nothing to contrast"
+    mixed = record_table(make_records(50, seed=15))
+    one_level = mixed.take(mixed.columns["data"] == 0)
+    for rows in (records, record_table(records), one_level):
+        with pytest.raises(DesignError, match=f"^{re.escape(message)}$"):
+            encode_design(rows, "avg_acc ~ data")
+        rows_kept = screen_variables(rows, "avg_acc", ("data", "acc1"), alpha=1.0)
+        assert [r.variable for r in rows_kept] == ["acc1"]
+    unknown = f"unknown variable 'epochs'; known: {sorted(RECORD_VARIABLES)}"
+    with pytest.raises(DesignError, match=f"^{re.escape(unknown)}$"):
+        encode_design(mixed, "avg_acc ~ train + epochs")

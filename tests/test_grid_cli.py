@@ -180,6 +180,25 @@ def test_grid_materializes_each_cell_once(monkeypatch):
     assert len(calls) == 2 * 3 * 2
 
 
+def test_one_cell_grid_runs_in_process_at_any_jobs(monkeypatch, tmp_path):
+    cfg = toy_config(
+        datasets=(DatasetSpec(name="tiny1", n_classes=10, dim=6, n_train=6, n_test=3),),
+        strategies=(StrategySpec(name="s-mid", separation=3.0),),
+    )
+    serial = write_results(run_grid(cfg, jobs=1), tmp_path / "serial")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-cell grid started a process pool")
+
+    monkeypatch.setattr(grid.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    table = run_grid(cfg, jobs=2)
+    assert len(table.records) == len(enumerate_runs(cfg)) == 6
+    parallel = write_results(table, tmp_path / "parallel")
+    assert parallel.read_bytes() == serial.read_bytes()
+    for m in sorted((tmp_path / "serial" / "matrices").iterdir()):
+        assert (tmp_path / "parallel" / "matrices" / m.name).read_bytes() == m.read_bytes()
+
+
 def test_grid_missing_feature_file_fails_only_its_cell(tmp_path):
     paths = {}
     for name, sep in (("good", 3.0), ("gone", 3.0)):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from efcilab.datagen import FeatureDataset, SynthSpec, synth_features
 from efcilab.learners import (
-    AccuracyMatrix,
     BSILLite,
     FeTrILLite,
     LearnerError,
@@ -414,12 +413,3 @@ def test_invalid_hyperparameter_rejected():
     for knob in ("bogus_knob", "seed"):
         with pytest.raises(LearnerError, match="invalid hyperparameters"):
             make_learner("dslda", {knob: 3})
-
-
-def test_accuracy_matrix_csv_round_trip():
-    ds = synth_features(SynthSpec(n_classes=6, dim=5, n_train=8, n_test=4, separation=5.0, seed=9))
-    sc = build_scenario(list(range(6)), "equal", 3, seed=9)
-    matrix = run_incremental("ncm", ds, sc, {})
-    back = AccuracyMatrix.from_csv_text(matrix.to_csv_text())
-    assert np.allclose(back.cumulative, matrix.cumulative)
-    assert np.allclose(back.per_subset, matrix.per_subset, equal_nan=True)

@@ -135,11 +135,10 @@ def test_fit_is_independent_of_design_memory_layout():
     assert design.x.flags.c_contiguous
     fortran = dataclasses.replace(design, x=np.asfortranarray(design.x))
     reference = ols_fit(design)
-    for other in (design.subset(design.formula.terms), fortran):
-        fit = ols_fit(other)
-        assert np.array_equal(fit.beta, reference.beta)
-        assert fit.ssr == reference.ssr
-        assert np.array_equal(fit.cov_unscaled, reference.cov_unscaled)
+    fit = ols_fit(fortran)
+    assert np.array_equal(fit.beta, reference.beta)
+    assert fit.ssr == reference.ssr
+    assert np.array_equal(fit.cov_unscaled, reference.cov_unscaled)
 
 
 def test_qq_slope_near_one_for_normal_residuals():

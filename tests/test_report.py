@@ -14,6 +14,7 @@ from efcilab.report import (
     render_heatmap_svg,
     write_bundle_json,
 )
+from efcilab.stats.regression import ols_fit
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,51 @@ def test_bundle_json_round_trip(tmp_path, bundle):
     path = tmp_path / "bundle.json"
     write_bundle_json(bundle, path)
     assert load_bundle_json(path) == bundle
+
+
+def test_undefined_values_become_null_and_round_trip(tmp_path):
+    records = [
+        # accK constant: its correlations are undefined. On d2 the method follows
+        # the strategy, so no strategy pair is estimable within that dataset.
+        dataclasses.replace(
+            r,
+            accK=0.5,
+            incr=("dslda" if r.train == "byol" else "fetril") if r.data == "d2" else r.incr,
+        )
+        for r in make_records(120, seed=32, train_effects={"dino": 0.2})
+    ]
+    bundle = build_report_bundle(records)
+    corr = bundle["correlations"]
+    k = corr["labels"].index("accK")
+    assert not corr["defined"][k]
+    assert corr["values"][k] == [None] * len(corr["labels"])
+    d2 = next(pw for pw in bundle["pairwise"] if pw["title"] == "accuracy on dataset d2")
+    assert not any(e for row in d2["estimable"] for e in row)
+    n = len(d2["levels"])
+    assert all(d2["gain"][i][j] is None for i in range(n) for j in range(n) if i != j)
+    assert all(d2["p_values"][i][j] is None for i in range(n) for j in range(n))
+    assert [d2["gain"][i][i] for i in range(n)] == [0.0] * n
+    path = tmp_path / "bundle.json"
+    write_bundle_json(bundle, path)
+    assert "NaN" not in path.read_text()
+    assert load_bundle_json(path) == bundle
+
+
+def test_bundle_fits_each_distinct_model_once(monkeypatch, rich_records):
+    import efcilab.stats.analysis as analysis
+
+    fitted = []
+
+    def counting(design):
+        fitted.append((tuple(design.column_labels), design.x.tobytes(), design.y.tobytes()))
+        return ols_fit(design)
+
+    monkeypatch.setattr(analysis, "ols_fit", counting)
+    build_report_bundle(rich_records)
+    assert len(fitted) == len(set(fitted))
+    # screening 2 x 10, AIC 2 x 5 more, the acc1 ANOVA's 3 reduced models, and one
+    # pairwise model per dataset (2), method (3) and initial-class share (2)
+    assert len(fitted) == 20 + 10 + 3 + 7
 
 
 def test_render_twice_is_byte_identical(tmp_path, bundle):

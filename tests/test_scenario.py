@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efcilab.datagen import SynthSpec, synth_features
-from efcilab.scenario import (
-    ScenarioError,
-    build_scenario,
-    partition_dataset,
-    scenario_from_text,
-    scenario_to_text,
-)
+from efcilab.scenario import ScenarioError, build_scenario, partition_dataset
 
 
 def test_equal_split_100_classes_10_steps():
@@ -65,23 +59,6 @@ def test_steps_disjoint_and_cover_for_every_seed(n_incr, per_step, kind, seed):
     assert sorted(flat) == sorted(ids)  # coverage, each exactly once
     assert len(set(flat)) == len(flat)  # disjoint
     assert sc.initial_fraction == Fraction(len(sc.steps[0]), n)
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
-def test_serialized_scenario_deterministic(seed):
-    a = build_scenario(list(range(20)), "half", 5, seed)
-    b = build_scenario(list(range(20)), "half", 5, seed)
-    assert scenario_to_text(a) == scenario_to_text(b)
-
-
-def test_serialization_round_trip():
-    sc = build_scenario(list(range(30)), "half", 5, seed=123)
-    text = scenario_to_text(sc)
-    back = scenario_from_text(text)
-    assert back == sc
-    assert text.splitlines()[0] == "K=6"
-    assert text.splitlines()[1] == "b=1/2"
 
 
 @pytest.fixture()
