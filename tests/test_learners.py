@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efcilab import learners
 from efcilab.datagen import FeatureDataset, SynthSpec, synth_features
 from efcilab.learners import (
+    HEAD_FACTOR_KAPPA,
     BSILLite,
     FeTrILLite,
     LearnerError,
     NearestClassMean,
     StreamingLDA,
+    argmax_by_class,
     balanced_softmax_anchor_loss,
+    fit_softmax_head,
     run_incremental,
     select_source_class,
-    translate_pseudo_features,
 )
-from efcilab.scenario import Scenario, build_scenario
+from efcilab.scenario import Scenario, build_scenario, partition_dataset
 
 
 def batch_lda_params(x, y, shrinkage):
@@ -174,12 +177,99 @@ def test_ncm_incremental_mean_merging():
 # FeTrIL-style head
 
 
-def test_pseudo_feature_translation_recenters_exactly():
-    rng = np.random.default_rng(7)
-    source = rng.normal(3.0, 1.0, (40, 6))
-    target_mean = rng.normal(0, 1, 6)
-    pseudo = translate_pseudo_features(source, source.mean(axis=0), target_mean)
-    assert np.allclose(pseudo.mean(axis=0), target_mean, atol=1e-12)
+def reference_head(x, class_idx, n_classes, lr, epochs, weight_decay):
+    """Materialising oracle: gradient descent over every training row."""
+    n, dim = x.shape
+    weights = np.zeros((n_classes, dim))
+    biases = np.zeros(n_classes)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), class_idx] = 1.0
+    for _ in range(epochs):
+        logits = x @ weights.T + biases
+        logits -= logits.max(axis=1, keepdims=True)
+        expz = np.exp(logits)
+        probs = expz / expz.sum(axis=1, keepdims=True)
+        grad = (probs - onehot) / n
+        weights -= lr * (grad.T @ x + weight_decay * weights)
+        biases -= lr * grad.sum(axis=0)
+    return weights, biases
+
+
+def reference_training_rows(features, labels, step_means, past_means):
+    """FeTrIL's training set, materialised: the real rows, then for each past
+    class the rows of its most similar new class translated so that their
+    mean lands on the past class's mean."""
+    new_ids = np.array(sorted(step_means), dtype=np.int64)
+    new_means = np.stack([step_means[c] for c in new_ids])
+    xs, ys = [features], [labels]
+    for past_id in sorted(past_means):
+        src = select_source_class(past_means[past_id], new_ids, new_means)
+        source = features[labels == src]
+        xs.append(source + (past_means[past_id] - step_means[src]))
+        ys.append(np.full(len(source), past_id))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def factored_problem(rng, dim, sources):
+    """Three new classes of five rows; past class j is offset j + 1 applied
+    to the rows of new class ``sources[j]``."""
+    labels = np.repeat([0, 1, 2], 5)
+    features = rng.normal(0, 1, (15, dim))
+    rows = [np.arange(15)] + [np.flatnonzero(labels == src) for src in sources]
+    shifts = np.vstack([np.zeros(dim), rng.normal(0, 2, (len(sources), dim))])
+    shift_of = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    class_idx = np.concatenate([labels + len(sources)] + [np.full(5, j) for j in range(len(sources))])
+    return features, np.concatenate(rows), shifts, shift_of, class_idx, len(sources) + 3
+
+
+@pytest.mark.parametrize("dim", [8, 256])
+@pytest.mark.parametrize(
+    "sources",
+    [(), (0, 0, 0, 1, 1)],  # first step; class 0 serves three past classes, 1 two, 2 none
+    ids=["first_step", "shared_sources"],
+)
+def test_factored_head_matches_materialising_oracle(dim, sources):
+    features, rows, shifts, shift_of, class_idx, n_classes = factored_problem(
+        np.random.default_rng(dim + len(sources)), dim, sources
+    )
+    n = len(rows)
+    factored = (n - len(features) - len(shifts)) * dim > HEAD_FACTOR_KAPPA * n
+    assert factored == (dim == 256 and bool(sources))  # both sides of the shape rule
+    weights, biases = fit_softmax_head(
+        features, rows, shifts, shift_of, class_idx, n_classes, 0.5, 100, 1e-3
+    )
+    ref_w, ref_b = reference_head(
+        features[rows] + shifts[shift_of], class_idx, n_classes, 0.5, 100, 1e-3
+    )
+    assert np.max(np.abs(weights - ref_w)) <= 1e-12 * np.max(np.abs(ref_w))
+    assert np.max(np.abs(biases - ref_b)) <= 1e-12 * np.max(np.abs(ref_b))
+    if not factored:  # the materialised path runs the oracle's arithmetic
+        assert weights.tobytes() == ref_w.tobytes() and biases.tobytes() == ref_b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [8, 256])
+def test_fetril_head_receives_real_rows_and_one_offset_per_past_class(monkeypatch, dim):
+    ds = synth_features(SynthSpec(n_classes=6, dim=dim, n_train=10, n_test=5, separation=4.0, seed=3))
+    views = partition_dataset(ds, build_scenario(list(range(6)), "equal", 3, seed=4))
+    calls = []
+    original = learners.fit_softmax_head
+    monkeypatch.setattr(learners, "fit_softmax_head", lambda *a: calls.append(a) or original(*a))
+    learner = FeTrILLite()
+    past_means = {}
+    for view in views:
+        x, y = view.train_features, view.train_labels
+        step_means = {int(c): x[y == c].mean(axis=0) for c in np.unique(y)}
+        learner.learn_step(x, y)
+        features, rows, shifts, shift_of, class_idx, n_classes, lr, epochs, decay = calls[-1]
+        assert features.shape == x.shape and np.array_equal(features, x)
+        ref_x, ref_y = reference_training_rows(x, y, step_means, past_means)
+        assert (features[rows] + shifts[shift_of]).tobytes() == ref_x.tobytes()
+        past_means.update(step_means)
+        ids = np.array(sorted(past_means))
+        w, b = reference_head(ref_x, np.searchsorted(ids, ref_y), len(ids), lr, epochs, decay)
+        expected = argmax_by_class(view.test_features @ w.T + b, ids)
+        assert np.array_equal(learner.predict(view.test_features), expected)
+    assert len(calls) == 3
 
 
 def test_source_selection_matches_brute_force():
@@ -278,6 +368,21 @@ def test_balanced_softmax_gradient_matches_finite_differences():
         denom = max(np.max(np.abs(num_w)), 1e-9)
         assert np.max(np.abs(grad_w - num_w)) / denom <= 1e-4
         assert abs(grad_s - num_s) / max(abs(num_s), 1e-9) <= 1e-4
+
+
+def test_zero_anchor_strength_ignores_anchor_mask():
+    rng = np.random.default_rng(11)
+    weights, scale, features, class_idx, counts, _, snapshot, _ = random_loss_config(rng)
+    outputs = [
+        balanced_softmax_anchor_loss(
+            weights, scale, features, class_idx, counts, np.full(len(weights), flag), snapshot, 0.0
+        )
+        for flag in (True, False)
+    ]
+    (loss_t, grad_t, scale_t), (loss_f, grad_f, scale_f) = outputs
+    assert np.float64(loss_t).tobytes() == np.float64(loss_f).tobytes()
+    assert grad_t.tobytes() == grad_f.tobytes()
+    assert np.float64(scale_t).tobytes() == np.float64(scale_f).tobytes()
 
 
 def test_equal_counts_reduce_to_plain_softmax():
