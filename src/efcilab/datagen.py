@@ -158,10 +158,8 @@ def save_features(ds: FeatureDataset, path: str | Path) -> None:
     path = Path(path)
     header = "label,split," + ",".join(f"f{i}" for i in range(ds.dim))
     lines = [header]
-    for i in range(ds.n_samples):
-        split = "train" if ds.is_train[i] else "test"
-        feats = ",".join(repr(float(v)) for v in ds.features[i])
-        lines.append(f"{int(ds.labels[i])},{split},{feats}")
+    for label, train, row in zip(ds.labels.tolist(), ds.is_train.tolist(), ds.features.tolist()):
+        lines.append(f"{label},{'train' if train else 'test'}," + ",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

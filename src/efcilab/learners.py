@@ -8,8 +8,8 @@ the current step's training data):
 * ``FeTrILLite`` — frozen class means plus a linear head retrained each
   step on real new-class features and pseudo-features for past classes.
   A pseudo-feature is a real row plus one offset per past class; the head
-  trains through the real rows and the offsets, and materialises the
-  shifted rows only when the dimension is too small for that to pay.
+  trains through the real rows and the offsets alone, never through the
+  shifted rows.
 * ``BSILLite`` — cosine-normalized linear head trained with a
   balanced-softmax cross-entropy on new-class features and an L2 anchor
   that ties previous class weights to their snapshot. A feature-space
@@ -246,14 +246,6 @@ def select_source_class(
     return int(ids[np.argmin(d2)])
 
 
-# The factored head saves (n - m - J) * dim multiply-adds per class in each
-# of an epoch's two matmuls and adds row gathers and segment sums costing
-# about KAPPA * n. Timed on FeTrIL step shapes (float64, OpenBLAS, 2 vCPUs),
-# the factored epoch loop breaks even at (n - m - J) * dim / n near 70 with
-# one BLAS thread and near 110 with two.
-HEAD_FACTOR_KAPPA = 96
-
-
 def fit_softmax_head(
     features: np.ndarray,
     rows: np.ndarray,
@@ -269,55 +261,51 @@ def fit_softmax_head(
 
     The training set is given in factored form: row ``r`` is
     ``features[rows[r]] + shifts[shift_of[r]]``, with label ``class_idx[r]``.
-    When the shapes make it pay (see ``HEAD_FACTOR_KAPPA``), each epoch
-    projects only the ``m + J`` basis rows (the ``m`` rows of ``features``
-    and the ``J`` shifts) and sums the logit gradient per basis row;
-    otherwise the rows are materialised once. Zero-initialized, hence
-    deterministic. Returns (weights, biases).
+    Its logits ``u[rows[r]] + v[shift_of[r]]`` split over the ``m + J``
+    basis rows (the rows of ``features`` and the shifts), so the softmax
+    factors: with each basis row's maximum subtracted, the normalisers of
+    the pairs ``(i, p)`` are ``N = exp(u) @ exp(v).T`` (``m x J``), and each
+    epoch works on basis-row arrays and the pair counts only, never on the
+    training rows. Zero-initialized, hence deterministic. Returns
+    (weights, biases).
     """
     n = len(rows)
     m, dim = features.shape
-    n_basis = m + len(shifts)
-    if (n - n_basis) * dim > HEAD_FACTOR_KAPPA * n:
-        basis = np.concatenate([features, shifts])
-        shift_rows = m + shift_of
-        keys = np.concatenate([rows, shift_rows])
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        grad_rows = order % n  # logit-gradient row behind each sorted key
-        used = basis[sorted_keys[starts]]  # basis rows in the order of the segment sums
-
-        def project(w):
-            proj = basis @ w.T
-            return proj[rows] + proj[shift_rows]
-
-        def contract(grad):
-            return np.add.reduceat(grad[grad_rows], starts).T @ used
-
-    else:
-        x = features[rows] + shifts[shift_of]
-
-        def project(w):
-            return x @ w.T
-
-        def contract(grad):
-            return grad.T @ x
+    basis = np.concatenate([features, shifts])
+    pairs = np.zeros((m, len(shifts)))
+    np.add.at(pairs, (rows, shift_of), 1.0)
+    used = pairs > 0
+    # target counts of every basis row: each training row adds 1 to its real
+    # row's and its shift's entry at its label
+    counts = np.zeros((len(basis), n_classes))
+    np.add.at(counts, (np.concatenate([rows, m + shift_of]), np.tile(class_idx, 2)), 1.0)
+    ratio = np.zeros_like(pairs)
 
     weights = np.zeros((n_classes, dim))
     biases = np.zeros(n_classes)
-    targets = (np.arange(n), class_idx)
     for _ in range(epochs):
-        # softmax minus the one-hot targets, over n, in place in the logits
-        grad = project(weights)
-        grad += biases
+        grad = basis @ weights.T
+        grad[:m] += biases
         grad -= grad.max(axis=1, keepdims=True)
         np.exp(grad, out=grad)
-        grad /= grad.sum(axis=1, keepdims=True)
-        grad[targets] -= 1.0
+        eu, ev = grad[:m], grad[m:]
+        # an unused pair contributes exactly 0, even where its normaliser underflows
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(pairs, eu @ ev.T, out=ratio, where=used)
+        if not np.isfinite(ratio).all():
+            raise LearnerError(
+                "softmax normaliser of a used (row, offset) pair is not finite and "
+                "positive: the logits spread past float64's exp range (rescale the "
+                "features or lower lr)"
+            )
+        # per basis row: the softmax summed over its training rows, minus its targets
+        to_u, to_v = ratio @ ev, ratio.T @ eu
+        eu *= to_u
+        ev *= to_v
+        grad -= counts
         grad /= n
-        weights -= lr * (contract(grad) + weight_decay * weights)
-        biases -= lr * grad.sum(axis=0)
+        weights -= lr * (grad.T @ basis + weight_decay * weights)
+        biases -= lr * grad[:m].sum(axis=0)
     return weights, biases
 
 
@@ -329,8 +317,8 @@ class FeTrILLite:
     pseudo-features for every past class. A past class's pseudo-features
     are the rows of the current step's most similar class, translated by
     one offset so that their mean lands on the past class's mean. The head
-    receives them factored, as the real rows plus the offsets, and
-    materialises them only below its shape threshold.
+    receives them factored, as the real rows plus the offsets, and trains
+    on those alone.
     """
 
     def __init__(self, lr: float = 0.1, epochs: int = 200, weight_decay: float = 1e-4):

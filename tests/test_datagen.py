@@ -103,6 +103,26 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.is_train, ds.is_train)
 
 
+def test_saved_floats_keep_their_repr_bytes(tmp_path):
+    edge = [-0.0, 5e-324, 0.1, 1e16]
+    ds = FeatureDataset(
+        name="edge",
+        features=np.array([edge, edge[::-1]]),
+        labels=np.array([3, 0], dtype=np.int64),
+        is_train=np.array([True, False]),
+    )
+    path = tmp_path / "edge.csv"
+    save_features(ds, path)
+    # the formatting of numpy scalars one at a time
+    expected = ["label,split,f0,f1,f2,f3"] + [
+        f"{int(ds.labels[i])},{'train' if ds.is_train[i] else 'test'},"
+        + ",".join(repr(float(v)) for v in ds.features[i])
+        for i in range(2)
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+    assert path.read_text().splitlines()[1] == "3,train,-0.0,5e-324,0.1,1e+16"
+
+
 def test_load_small_file(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("label,split,f0,f1\n0,train,1.5,2.0\n0,test,0.5,1.0\n1,train,3.0,4.0\n1,test,2.5,3.5\n")

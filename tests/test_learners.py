@@ -1,5 +1,7 @@
 """Learner behaviors against batch oracles, finite differences, and contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from efcilab import learners
 from efcilab.datagen import FeatureDataset, SynthSpec, synth_features
 from efcilab.learners import (
-    HEAD_FACTOR_KAPPA,
     BSILLite,
     FeTrILLite,
     LearnerError,
@@ -210,41 +211,94 @@ def reference_training_rows(features, labels, step_means, past_means):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def factored_problem(rng, dim, sources):
-    """Three new classes of five rows; past class j is offset j + 1 applied
-    to the rows of new class ``sources[j]``."""
+# pseudo-row blocks of each case: (source new class, offset index, past class)
+HEAD_CASES = {
+    "first_step": [],
+    # class 0 serves three past classes, 1 two, 2 none
+    "shared_sources": [(0, 1, 0), (0, 2, 1), (0, 3, 2), (1, 4, 3), (1, 5, 4)],
+    # the same rows under the same offset, labelled with two past classes
+    "repeated_pair": [(0, 1, 0), (0, 1, 1)],
+    # a sixteenth real row that no training row uses
+    "unused_real_row": [(1, 1, 0)],
+}
+
+
+def factored_problem(rng, dim, case):
+    """Three new classes of five rows, then one block of five pseudo-rows per
+    entry of ``HEAD_CASES[case]``: the source class's rows plus the offset."""
+    blocks = HEAD_CASES[case]
     labels = np.repeat([0, 1, 2], 5)
-    features = rng.normal(0, 1, (15, dim))
-    rows = [np.arange(15)] + [np.flatnonzero(labels == src) for src in sources]
-    shifts = np.vstack([np.zeros(dim), rng.normal(0, 2, (len(sources), dim))])
-    shift_of = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-    class_idx = np.concatenate([labels + len(sources)] + [np.full(5, j) for j in range(len(sources))])
-    return features, np.concatenate(rows), shifts, shift_of, class_idx, len(sources) + 3
+    n_past = len({past for _, _, past in blocks})
+    features = rng.normal(0, 1, (16 if case == "unused_real_row" else 15, dim))
+    n_offsets = max((offset for _, offset, _ in blocks), default=0)
+    shifts = np.vstack([np.zeros(dim), rng.normal(0, 2, (n_offsets, dim))])
+    rows = [np.arange(15)] + [np.flatnonzero(labels == src) for src, _, _ in blocks]
+    shift_of = np.repeat([0] + [offset for _, offset, _ in blocks], [len(r) for r in rows])
+    class_idx = np.concatenate([labels + n_past] + [np.full(5, past) for _, _, past in blocks])
+    return features, np.concatenate(rows), shifts, shift_of, class_idx, n_past + 3
 
 
 @pytest.mark.parametrize("dim", [8, 256])
-@pytest.mark.parametrize(
-    "sources",
-    [(), (0, 0, 0, 1, 1)],  # first step; class 0 serves three past classes, 1 two, 2 none
-    ids=["first_step", "shared_sources"],
-)
-def test_factored_head_matches_materialising_oracle(dim, sources):
+@pytest.mark.parametrize("case", list(HEAD_CASES))
+def test_factored_head_matches_materialising_oracle(dim, case):
     features, rows, shifts, shift_of, class_idx, n_classes = factored_problem(
-        np.random.default_rng(dim + len(sources)), dim, sources
+        np.random.default_rng(dim + len(HEAD_CASES[case])), dim, case
     )
-    n = len(rows)
-    factored = (n - len(features) - len(shifts)) * dim > HEAD_FACTOR_KAPPA * n
-    assert factored == (dim == 256 and bool(sources))  # both sides of the shape rule
+    x = features[rows] + shifts[shift_of]
+    # one input under two labels never saturates its softmax, so gradient
+    # descent there amplifies rounding (the oracle itself, fed its rows in
+    # another order, moves by over 10%) unless the step stays below the
+    # inverse curvature; the other cases saturate and take 0.5
+    lr = 1 / np.linalg.eigvalsh(x.T @ x / len(x)).max() if case == "repeated_pair" else 0.5
     weights, biases = fit_softmax_head(
-        features, rows, shifts, shift_of, class_idx, n_classes, 0.5, 100, 1e-3
+        features, rows, shifts, shift_of, class_idx, n_classes, lr, 100, 1e-3
     )
-    ref_w, ref_b = reference_head(
-        features[rows] + shifts[shift_of], class_idx, n_classes, 0.5, 100, 1e-3
-    )
+    ref_w, ref_b = reference_head(x, class_idx, n_classes, lr, 100, 1e-3)
     assert np.max(np.abs(weights - ref_w)) <= 1e-12 * np.max(np.abs(ref_w))
     assert np.max(np.abs(biases - ref_b)) <= 1e-12 * np.max(np.abs(ref_b))
-    if not factored:  # the materialised path runs the oracle's arithmetic
-        assert weights.tobytes() == ref_w.tobytes() and biases.tobytes() == ref_b.tobytes()
+
+
+def test_head_epochs_allocate_no_training_row_array():
+    # 5 new classes of 4 rows, each row also shifted to each of 200 past classes
+    rng = np.random.default_rng(0)
+    m, dim, n_past = 20, 256, 200
+    features = rng.normal(0, 1, (m, dim))
+    shifts = np.vstack([np.zeros(dim), rng.normal(0, 1, (n_past, dim))])
+    rows = np.tile(np.arange(m), n_past + 1)
+    shift_of = np.repeat(np.arange(n_past + 1), m)
+    class_idx = np.concatenate([n_past + np.arange(m) // 4, np.repeat(np.arange(n_past), m)])
+    n_classes = n_past + 5
+    tracemalloc.start()
+    try:
+        fit_softmax_head(features, rows, shifts, shift_of, class_idx, n_classes, 0.1, 3, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(rows) * n_classes * 8  # one float64 logit array over the rows
+
+
+def test_head_unused_pair_contributes_zero_where_its_normaliser_underflows():
+    # after one epoch real row 0 favours class 0 and offset 1 favours class
+    # 2, each by 1e7 logits or more: the normaliser of the pair (0, 1)
+    # underflows to 0, but no training row uses that pair
+    features = np.array([[1e4, 0.0], [-1e4, 0.0]])
+    shifts = np.array([[0.0, 0.0], [-1e4, 0.0]])
+    rows, shift_of, class_idx = np.array([0, 1, 1]), np.array([0, 0, 1]), np.array([0, 1, 2])
+    weights, biases = fit_softmax_head(features, rows, shifts, shift_of, class_idx, 3, 1.0, 3, 0.0)
+    ref_w, ref_b = reference_head(features[rows] + shifts[shift_of], class_idx, 3, 1.0, 3, 0.0)
+    assert np.max(np.abs(weights - ref_w)) <= 1e-12 * np.max(np.abs(ref_w))
+    assert np.max(np.abs(biases - ref_b)) <= 1e-12  # lr times sums of probabilities
+
+
+def test_head_rejects_an_underflowed_normaliser():
+    # after one epoch the real row's logits favour class 0 and its shifted
+    # copy's offset favours class 1 by about 1e8: their product underflows
+    features = np.array([[1e4, 0.0]])
+    shifts = np.array([[0.0, 0.0], [-2e4, 0.0]])
+    with pytest.raises(LearnerError, match="not finite and positive"):
+        fit_softmax_head(
+            features, np.array([0, 0]), shifts, np.array([0, 1]), np.array([0, 1]), 2, 1.0, 2, 0.0
+        )
 
 
 @pytest.mark.parametrize("dim", [8, 256])
