@@ -3,22 +3,27 @@
 The bundle is a plain JSON-serializable dict: metric correlations,
 screening tables, AIC model selection, ANOVA tables with partial eta
 squared, pairwise strategy comparisons (overall and per subgroup), and
-regression diagnostics for the selected accuracy model; NaN is written as
-None. The records become one column table (pairwise subgroups are masked
-takes of it), and every section fits through its memo: each distinct model
-is fitted once per bundle, and the memo goes with the table.
+regression diagnostics for the selected accuracy model. Each section is
+the field dict of its stats result (``_as_json``), so the stats dataclasses
+are the bundle's schema; NaN is written as None. Only a few keys are not
+fields: a pairwise section's title and slug, the AIC winner (``best``), the
+diagnostics' formula, R^2, AIC and Gram check, and the coefficient table,
+which comes from the fit's arrays. The records become one column table
+(pairwise subgroups are masked takes of it), and every section fits through
+its memo: each distinct model is fitted once per bundle, and the memo goes
+with the table.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import __version__
-from .metrics import MetricSet, metric_correlations
+from .metrics import METRIC_NAMES, metric_correlations
 from .report import slugify
 from .stats.analysis import (
-    AnovaTable,
-    PairwiseMatrix,
     anova_partial_eta2,
     fit_model,
     pairwise_comparison,
@@ -76,49 +81,22 @@ class AnalysisError(ValueError):
     """Raised when the results table cannot support any analysis."""
 
 
-def _anova_to_dict(table: AnovaTable) -> dict:
-    return {
-        "formula": table.formula,
-        "r_squared": table.r_squared,
-        "residual_sum_sq": table.residual_sum_sq,
-        "residual_df": table.residual_df,
-        "rows": [
-            {
-                "variable": r.variable,
-                "sum_sq": r.sum_sq,
-                "df": r.df,
-                "f_stat": r.f_stat,
-                "p_value": r.p_value,
-                "partial_eta_sq": r.partial_eta_sq,
-            }
-            for r in table.rows
-        ],
-    }
+def _as_json(value):
+    """A stats result as JSON data: a dataclass becomes the dict of its fields.
 
-
-def _pairwise_to_dict(pw: PairwiseMatrix, title: str) -> dict:
-    return {
-        "title": title,
-        "slug": slugify(title),
-        "variable": pw.variable,
-        "response": pw.response,
-        "levels": list(pw.levels),
-        "gain": _nan_to_none(pw.gain),
-        "p_values": _nan_to_none(pw.p_values),
-        "significant": pw.significant.tolist(),
-        "estimable": pw.estimable.tolist(),
-        "n_tests": pw.n_tests,
-        "alpha": pw.alpha,
-        "corrected_alpha": pw.corrected_alpha,
-    }
-
-
-def _nan_to_none(values: np.ndarray) -> list:
-    """Nested lists with None for NaN, so the bundle survives a JSON round trip.
-
-    Infinities are kept: they round-trip and compare equal, unlike NaN.
+    Arrays become nested lists with None for NaN, so the bundle survives a
+    JSON round trip; infinities are kept, as they round-trip and compare
+    equal, unlike NaN. Tuples become lists.
     """
-    return np.where(np.isnan(values), None, values).tolist()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isnan(value).any():
+            return np.where(np.isnan(value), None, value).tolist()
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
 
 
 def build_report_bundle(
@@ -132,19 +110,13 @@ def build_report_bundle(
     table = record_table(records)
     warnings: list[str] = []
 
-    corr = metric_correlations(
-        [MetricSet(r.acc1, r.avg_acc, r.forgetting, r.accK) for r in records]
-    )
+    corr = metric_correlations(np.column_stack([table.columns[m] for m in METRIC_NAMES]))
     bundle: dict = {
         "version": __version__,
         "alpha": alpha,
         "config_hash": config_hash,
         "n_records": len(records),
-        "correlations": {
-            "labels": list(corr.labels),
-            "values": _nan_to_none(corr.values),
-            "defined": corr.defined.tolist(),
-        },
+        "correlations": _as_json(corr),
         "screening": {},
         "aic": {},
         "anova": [],
@@ -160,23 +132,14 @@ def build_report_bundle(
             warnings.append(f"response {response!r} has zero variance; its models were skipped")
             continue
         usable_responses.append(response)
-        bundle["screening"][response] = [
-            {"variable": row.variable, "p_value": row.p_value, "r_squared": row.r_squared}
-            for row in screen_variables(table, response, SCREENING_CANDIDATES, alpha)
-        ]
+        bundle["screening"][response] = _as_json(
+            screen_variables(table, response, SCREENING_CANDIDATES, alpha)
+        )
         try:
             selection = select_model_aic(table, response, AIC_LADDERS[response])
             bundle["aic"][response] = {
                 "best": str(selection.best),
-                "candidates": [
-                    {
-                        "formula": c.formula,
-                        "aic": c.aic,
-                        "n_params": c.n_params,
-                        "error": c.error,
-                    }
-                    for c in selection.candidates
-                ],
+                "candidates": _as_json(selection.candidates),
             }
         except DesignError as exc:
             warnings.append(f"AIC selection for {response!r} failed: {exc}")
@@ -186,7 +149,7 @@ def build_report_bundle(
         if response not in usable_responses:
             continue
         try:
-            bundle["anova"].append(_anova_to_dict(anova_partial_eta2(table, model)))
+            bundle["anova"].append(_as_json(anova_partial_eta2(table, model)))
         except DesignError as exc:
             warnings.append(f"ANOVA for {model!r} skipped: {exc}")
 
@@ -201,7 +164,7 @@ def _add_pairwise(bundle: dict, records, formula: str, alpha: float, title: str)
     except DesignError as exc:
         bundle["warnings"].append(f"pairwise {title!r} skipped: {exc}")
         return
-    bundle["pairwise"].append(_pairwise_to_dict(pw, title))
+    bundle["pairwise"].append({"title": title, "slug": slugify(title), **_as_json(pw)})
 
 
 def _add_pairwise_sections(bundle, table: RecordTable, alpha, usable_responses) -> None:
@@ -248,24 +211,12 @@ def _add_diagnostics(bundle, table: RecordTable, usable_responses, warnings) -> 
         warnings.append(f"diagnostics for {model!r} skipped: {exc}")
         return
     bundle["coefficients"] = {"formula": model, "rows": _coef_rows(fit)}
-    diag = diagnostics(fit)
-    gram = gram_min_eigenvalue(fit.design())
     bundle["diagnostics"] = {
         "formula": model,
         "r_squared": fit.r_squared,
         "aic": fit.aic,
-        "qq_theoretical": diag.qq_theoretical.tolist(),
-        "qq_residuals": diag.qq_residuals.tolist(),
-        "fitted": diag.fitted.tolist(),
-        "sqrt_abs_std_residuals": diag.sqrt_abs_std_residuals.tolist(),
-        "leverage": diag.leverage.tolist(),
-        "std_residuals": diag.std_residuals.tolist(),
-        "gram": {
-            "min_eigenvalue": gram.min_eigenvalue,
-            "max_eigenvalue": gram.max_eigenvalue,
-            "threshold": gram.threshold,
-            "collinear": gram.collinear,
-        },
+        **_as_json(diagnostics(fit)),
+        "gram": _as_json(gram_min_eigenvalue(fit.design())),
     }
 
 

@@ -412,9 +412,27 @@ def balanced_softmax_anchor_loss(
     pay ``anchor_strength * ||w_c - anchor_c||^2``. Returns
     ``(loss, d loss / d weights, d loss / d scale)``.
     """
-    n = features.shape[0]
-    unit_w, w_norms = _unit_rows(weights)
     unit_x, _ = _unit_rows(features)
+    loss, grad_w, grad_scale = _cosine_softmax_loss(
+        weights, scale, unit_x, class_idx, class_counts
+    )
+    if anchor_strength > 0 and np.any(anchor_mask):
+        diff = weights[anchor_mask] - anchor_weights[anchor_mask]
+        loss += anchor_strength * float(np.sum(diff * diff))
+        grad_w[anchor_mask] += 2.0 * anchor_strength * diff
+    return loss, grad_w, grad_scale
+
+
+def _cosine_softmax_loss(
+    weights: np.ndarray,
+    scale: float,
+    unit_x: np.ndarray,
+    class_idx: np.ndarray,
+    class_counts: np.ndarray,
+) -> tuple[float, np.ndarray, float]:
+    """The balanced-softmax data term of the objective above, on unit-norm rows."""
+    n = unit_x.shape[0]
+    unit_w, w_norms = _unit_rows(weights)
     cosines = unit_x @ unit_w.T  # (n, C)
     logits = scale * cosines + np.log(class_counts)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -432,13 +450,7 @@ def balanced_softmax_anchor_loss(
     diag_coef = np.sum(grad_logits * cosines, axis=0)  # (C,)
     grad_w = scale * (weighted_x.T - diag_coef[:, None] * unit_w) / w_norms[:, None]
     grad_scale = float(np.sum(grad_logits * cosines))
-
-    loss = ce
-    if anchor_strength > 0 and np.any(anchor_mask):
-        diff = weights[anchor_mask] - anchor_weights[anchor_mask]
-        loss += anchor_strength * float(np.sum(diff * diff))
-        grad_w[anchor_mask] += 2.0 * anchor_strength * diff
-    return float(loss), grad_w, grad_scale
+    return float(ce), grad_w, grad_scale
 
 
 class BSILLite:
@@ -495,19 +507,13 @@ class BSILLite:
         anchor_mask = np.isin(all_ids, old_ids)
         snapshot = weight_mat.copy()
         class_idx = np.searchsorted(all_ids, labels)
+        unit_x, _ = _unit_rows(features)
 
         for _ in range(self.epochs):
             # gradient step on the data term alone; the quadratic anchor is
             # applied below as an exact proximal shrink, stable for any strength
-            loss, grad_data, grad_scale = balanced_softmax_anchor_loss(
-                weight_mat,
-                self.scale,
-                features,
-                class_idx,
-                count_vec,
-                anchor_mask,
-                snapshot,
-                0.0,
+            loss, grad_data, grad_scale = _cosine_softmax_loss(
+                weight_mat, self.scale, unit_x, class_idx, count_vec
             )
             if not math.isfinite(loss):
                 raise LearnerError(

@@ -28,9 +28,6 @@ class MetricSet:
     forgetting: float
     accK: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.acc1, self.avg_acc, self.forgetting, self.accK)
-
 
 def avg_incremental_accuracy(matrix: AccuracyMatrix) -> float:
     """Mean cumulative accuracy over steps 2..K."""
@@ -91,15 +88,18 @@ class CorrelationMatrix:
         return float(self.values[i, j])
 
 
-def metric_correlations(rows: list[MetricSet]) -> CorrelationMatrix:
+def metric_correlations(columns: np.ndarray) -> CorrelationMatrix:
     """Population Pearson correlations between the four metrics.
 
+    ``columns`` is (n, 4), one column per metric in ``METRIC_NAMES`` order.
     Zero-variance metrics make their row and column undefined (NaN),
     never silently zero.
     """
-    if len(rows) < 3:
-        raise ValueError(f"need at least 3 rows to correlate, got {len(rows)}")
-    data = np.array([r.as_tuple() for r in rows], dtype=float)
+    data = np.asarray(columns, dtype=float)
+    if data.ndim != 2 or data.shape[1] != len(METRIC_NAMES):
+        raise ValueError(f"need one column per metric {METRIC_NAMES}, got shape {data.shape}")
+    if len(data) < 3:
+        raise ValueError(f"need at least 3 rows to correlate, got {len(data)}")
     centered = data - data.mean(axis=0)
     stds = data.std(axis=0)
     defined = stds > 0

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
+
+from .stats.analysis import AnovaRow, ModelCandidate, ScreeningRow
+from .stats.regression import GramDiagnostic
 
 FORMATS = ("csv", "md", "svg")
 
@@ -42,29 +47,60 @@ def _md_table(header: list[str], rows: list[list]) -> str:
 # Section renderers
 
 
-def correlation_rows(corr: dict) -> tuple[list[str], list[list]]:
+@dataclass(frozen=True)
+class Table:
+    """One report table: header and rows, shared by its CSV file and summary.md."""
+
+    header: list[str]
+    rows: list[list]
+    md_header: list[str] | None = None  # summary.md's names, where they differ
+
+    def csv(self) -> str:
+        return _csv([self.header] + self.rows)
+
+    def markdown(self) -> str:
+        return _md_table(self.md_header or self.header, self.rows)
+
+
+def _field_table(records: list[dict], result_type, md_header: list[str] | None = None) -> Table:
+    """Bundle records of a stats result type, one column per dataclass field."""
+    columns = [f.name for f in dataclasses.fields(result_type)]
+    return Table(columns, [[r[c] for c in columns] for r in records], md_header)
+
+
+def correlation_table(corr: dict) -> Table:
     labels = corr["labels"]
-    header = ["metric"] + labels
-    rows = []
-    for i, lab in enumerate(labels):
-        rows.append([lab] + [corr["values"][i][j] for j in range(len(labels))])
-    return header, rows
+    return Table(["metric"] + labels, [[lab] + corr["values"][i] for i, lab in enumerate(labels)])
 
 
-def anova_rows(table: dict) -> tuple[list[str], list[list]]:
-    header = ["variable", "sum_sq", "df", "F", "p_value", "partial_eta_sq"]
+def screening_table(screen: list[dict]) -> Table:
+    return _field_table(screen, ScreeningRow)
+
+
+def aic_table(selection: dict) -> Table:
+    md_header = ["formula", "AIC", "params", "note"]
+    return _field_table(selection["candidates"], ModelCandidate, md_header)
+
+
+def anova_table(table: dict) -> Table:
+    """Rows by decreasing partial eta squared, then the residual row."""
     ranked = sorted(table["rows"], key=lambda r: -r["partial_eta_sq"])
-    rows = [
-        [r["variable"], r["sum_sq"], r["df"], r["f_stat"], r["p_value"], r["partial_eta_sq"]]
-        for r in ranked
-    ]
+    rows = _field_table(ranked, AnovaRow).rows
     rows.append(["residual", table["residual_sum_sq"], table["residual_df"], "", "", ""])
-    return header, rows
+    return Table(["variable", "sum_sq", "df", "F", "p_value", "partial_eta_sq"], rows)
 
 
-def pairwise_rows(pw: dict) -> tuple[list[str], list[list]]:
+def coefficient_table(coef: dict) -> Table:
+    columns = ["coefficient", "estimate", "se", "t_stat", "p_value"]
+    return Table(
+        columns,
+        [[r[c] for c in columns] for r in coef["rows"]],
+        ["coefficient", "estimate", "se", "t", "p_value"],
+    )
+
+
+def pairwise_table(pw: dict) -> Table:
     levels = pw["levels"]
-    header = ["level"] + levels
     rows = []
     for i, lvl in enumerate(levels):
         row = [lvl]
@@ -76,7 +112,7 @@ def pairwise_rows(pw: dict) -> tuple[list[str], list[list]]:
             else:
                 row.append(pw["gain"][i][j])
         rows.append(row)
-    return header, rows
+    return Table(["level"] + levels, rows)
 
 
 def pairwise_markdown(pw: dict) -> str:
@@ -208,37 +244,24 @@ def render_bundle(bundle: dict, out_dir: str | Path, formats: set[str] | None = 
         path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
 
-    header, rows = correlation_rows(bundle["correlations"])
     if "csv" in formats:
-        emit("correlations.csv", _csv([header] + rows))
-
-    for response, screen in sorted(bundle["screening"].items()):
-        s_header = ["variable", "p_value", "r_squared"]
-        s_rows = [[r["variable"], r["p_value"], r["r_squared"]] for r in screen]
-        if "csv" in formats:
-            emit(f"screening_{response}.csv", _csv([s_header] + s_rows))
-
-    for response, sel in sorted(bundle["aic"].items()):
-        a_header = ["formula", "aic", "n_params", "error"]
-        a_rows = [[c["formula"], c["aic"], c["n_params"], c["error"] or ""] for c in sel["candidates"]]
-        if "csv" in formats:
-            emit(f"aic_{response}.csv", _csv([a_header] + a_rows))
+        emit("correlations.csv", correlation_table(bundle["correlations"]).csv())
+        for response, screen in sorted(bundle["screening"].items()):
+            emit(f"screening_{response}.csv", screening_table(screen).csv())
+        for response, selection in sorted(bundle["aic"].items()):
+            emit(f"aic_{response}.csv", aic_table(selection).csv())
 
     for table in bundle["anova"]:
         slug = slugify(table["formula"])
-        t_header, t_rows = anova_rows(table)
+        anova = anova_table(table)
         if "csv" in formats:
-            emit(f"anova_{slug}.csv", _csv([t_header] + t_rows))
+            emit(f"anova_{slug}.csv", anova.csv())
         if "md" in formats:
-            emit(
-                f"anova_{slug}.md",
-                f"## ANOVA: `{table['formula']}`\n\n" + _md_table(t_header, t_rows),
-            )
+            emit(f"anova_{slug}.md", f"## ANOVA: `{table['formula']}`\n\n" + anova.markdown())
 
     for pw in bundle["pairwise"]:
-        p_header, p_rows = pairwise_rows(pw)
         if "csv" in formats:
-            emit(f"pairwise_{pw['slug']}.csv", _csv([p_header] + p_rows))
+            emit(f"pairwise_{pw['slug']}.csv", pairwise_table(pw).csv())
         if "md" in formats:
             emit(f"pairwise_{pw['slug']}.md", f"## {pw['title']}\n\n" + pairwise_markdown(pw))
         if "svg" in formats:
@@ -246,55 +269,20 @@ def render_bundle(bundle: dict, out_dir: str | Path, formats: set[str] | None = 
 
     coef = bundle.get("coefficients")
     if coef and "csv" in formats:
-        emit(
-            "coefficients.csv",
-            _csv(
-                [["coefficient", "estimate", "se", "t_stat", "p_value"]]
-                + [
-                    [r["coefficient"], r["estimate"], r["se"], r["t_stat"], r["p_value"]]
-                    for r in coef["rows"]
-                ]
-            ),
-        )
+        emit("coefficients.csv", coefficient_table(coef).csv())
 
     diag = bundle.get("diagnostics")
     if diag and "csv" in formats:
-        emit(
-            "diagnostics_qq.csv",
-            _csv(
-                [["theoretical_quantile", "standardized_residual"]]
-                + [list(pair) for pair in zip(diag["qq_theoretical"], diag["qq_residuals"])]
-            ),
-        )
-        emit(
-            "diagnostics_scale_location.csv",
-            _csv(
-                [["fitted", "sqrt_abs_standardized_residual"]]
-                + [list(pair) for pair in zip(diag["fitted"], diag["sqrt_abs_std_residuals"])]
-            ),
-        )
-        emit(
-            "diagnostics_leverage.csv",
-            _csv(
-                [["leverage", "standardized_residual"]]
-                + [list(pair) for pair in zip(diag["leverage"], diag["std_residuals"])]
-            ),
-        )
-        gram = diag["gram"]
-        emit(
-            "gram_check.csv",
-            _csv(
-                [
-                    ["min_eigenvalue", "max_eigenvalue", "threshold", "collinear"],
-                    [
-                        gram["min_eigenvalue"],
-                        gram["max_eigenvalue"],
-                        gram["threshold"],
-                        gram["collinear"],
-                    ],
-                ]
-            ),
-        )
+        for name, (x, y), header in (
+            ("qq", ("qq_theoretical", "qq_residuals"),
+             ["theoretical_quantile", "standardized_residual"]),
+            ("scale_location", ("fitted", "sqrt_abs_std_residuals"),
+             ["fitted", "sqrt_abs_standardized_residual"]),
+            ("leverage", ("leverage", "std_residuals"), ["leverage", "standardized_residual"]),
+        ):
+            points = Table(header, [list(pair) for pair in zip(diag[x], diag[y])])
+            emit(f"diagnostics_{name}.csv", points.csv())
+        emit("gram_check.csv", _field_table([diag["gram"]], GramDiagnostic).csv())
 
     if "md" in formats:
         emit("summary.md", summary_markdown(bundle))
@@ -324,34 +312,19 @@ def summary_markdown(bundle: dict) -> str:
         "## Metric correlations",
         "",
     ]
-    header, rows = correlation_rows(bundle["correlations"])
-    parts.append(_md_table(header, rows))
+    parts.append(correlation_table(bundle["correlations"]).markdown())
 
     for response, screen in sorted(bundle["screening"].items()):
         parts += [f"## Screening: one-variable models for `{response}`", ""]
-        parts.append(
-            _md_table(
-                ["variable", "p_value", "r_squared"],
-                [[r["variable"], r["p_value"], r["r_squared"]] for r in screen],
-            )
-        )
+        parts.append(screening_table(screen).markdown())
 
-    for response, sel in sorted(bundle["aic"].items()):
-        parts += [f"## Model selection for `{response}` (best: `{sel['best']}`)", ""]
-        parts.append(
-            _md_table(
-                ["formula", "AIC", "params", "note"],
-                [
-                    [c["formula"], c["aic"], c["n_params"], c["error"] or ""]
-                    for c in sel["candidates"]
-                ],
-            )
-        )
+    for response, selection in sorted(bundle["aic"].items()):
+        parts += [f"## Model selection for `{response}` (best: `{selection['best']}`)", ""]
+        parts.append(aic_table(selection).markdown())
 
     for table in bundle["anova"]:
         parts += [f"## ANOVA: `{table['formula']}` (R² = {_fmt(table['r_squared'], 3)})", ""]
-        t_header, t_rows = anova_rows(table)
-        parts.append(_md_table(t_header, t_rows))
+        parts.append(anova_table(table).markdown())
 
     for pw in bundle["pairwise"]:
         parts += [f"## Pairwise: {pw['title']}", ""]
@@ -360,15 +333,7 @@ def summary_markdown(bundle: dict) -> str:
     coef = bundle.get("coefficients")
     if coef:
         parts += [f"## Coefficients: `{coef['formula']}`", ""]
-        parts.append(
-            _md_table(
-                ["coefficient", "estimate", "se", "t", "p_value"],
-                [
-                    [r["coefficient"], r["estimate"], r["se"], r["t_stat"], r["p_value"]]
-                    for r in coef["rows"]
-                ],
-            )
-        )
+        parts.append(coefficient_table(coef).markdown())
 
     diag = bundle.get("diagnostics")
     if diag:

@@ -24,7 +24,6 @@ from .design import (
 from .distributions import (
     f_pvalue,
     inv_norm_cdf,
-    log_gamma,
     regularized_incomplete_beta,
     student_t_pvalue,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "gram_min_eigenvalue",
     "inv_norm_cdf",
     "least_squares",
-    "log_gamma",
     "ols_fit",
     "pairwise_comparison",
     "parse_formula",

@@ -38,10 +38,8 @@ class RegressionFit:
     n_params: int
     df_resid: int
     ssr: float
-    sst: float
     sigma2: float
     r_squared: float
-    adj_r_squared: float
     aic: float
     f_stat: float
     f_pvalue: float
@@ -119,7 +117,6 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         r_squared = min(max(1.0 - ssr / sst, 0.0), 1.0)
     else:
         r_squared = 1.0 if ssr <= 1e-300 else 0.0
-    adj_r_squared = 1.0 - (1.0 - r_squared) * (n - 1) / df_resid
 
     aic = -math.inf if ssr <= 0 else 2.0 * (p + 1) + n * (math.log(2.0 * math.pi * ssr / n) + 1.0)
 
@@ -146,10 +143,8 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         n_params=p,
         df_resid=df_resid,
         ssr=ssr,
-        sst=sst,
         sigma2=sigma2,
         r_squared=r_squared,
-        adj_r_squared=adj_r_squared,
         aic=aic,
         f_stat=f_stat,
         f_pvalue=f_p,

@@ -411,14 +411,11 @@ def test_criterion_08_qualitative_forgetting_anova(default_grid):
 
 
 def test_criterion_09_accuracy_correlation_sign(default_grid):
-    from efcilab.metrics import MetricSet, metric_correlations
+    from efcilab.metrics import metric_correlations
 
     _, table, _ = default_grid
-    rows = [
-        MetricSet(acc1=r.acc1, avg_acc=r.avg_acc, forgetting=r.forgetting, accK=r.accK)
-        for r in table.records
-    ]
-    corr = metric_correlations(rows).value("avg_acc", "accK")
+    columns = np.array([(r.acc1, r.avg_acc, r.forgetting, r.accK) for r in table.records])
+    corr = metric_correlations(columns).value("avg_acc", "accK")
     oracle = float(np.corrcoef([r.avg_acc for r in table.records],
                                [r.accK for r in table.records])[0, 1])
     _verdict(

@@ -1,7 +1,5 @@
 """Distribution functions against a high-precision mpmath oracle."""
 
-import math
-
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from efcilab.stats.distributions import (
     f_pvalue,
     inv_norm_cdf,
-    log_gamma,
     regularized_incomplete_beta,
     student_t_pvalue,
 )
@@ -123,10 +120,3 @@ def test_inv_norm_cdf_domain():
     for q in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             inv_norm_cdf(q)
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        log_gamma(0.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from efcilab.learners import AccuracyMatrix
 from efcilab.metrics import (
-    MetricSet,
     avg_forgetting,
     avg_incremental_accuracy,
     compute_metrics,
@@ -158,15 +157,11 @@ def test_compute_metrics_bundles_all_four():
 # Correlations
 
 
-def _rows_from_columns(cols: np.ndarray) -> list[MetricSet]:
-    return [MetricSet(*map(float, row)) for row in cols]
-
-
 def test_duplicated_column_correlates_perfectly():
     rng = np.random.default_rng(1)
     a = rng.random(40)
     cols = np.column_stack([a, a, rng.random(40), rng.random(40)])
-    corr = metric_correlations(_rows_from_columns(cols))
+    corr = metric_correlations(cols)
     assert corr.value("acc1", "avg_acc") == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(corr.values, corr.values.T, equal_nan=True)
     assert np.allclose(np.diag(corr.values), 1.0)
@@ -175,7 +170,7 @@ def test_duplicated_column_correlates_perfectly():
 def test_independent_columns_nearly_uncorrelated():
     rng = np.random.default_rng(2)
     cols = rng.random((1000, 4))
-    corr = metric_correlations(_rows_from_columns(cols))
+    corr = metric_correlations(cols)
     off = corr.values[~np.eye(4, dtype=bool)]
     assert np.all(np.abs(off) < 0.1)
 
@@ -184,7 +179,7 @@ def test_zero_variance_column_flagged_undefined():
     rng = np.random.default_rng(3)
     cols = rng.random((30, 4))
     cols[:, 2] = 0.25
-    corr = metric_correlations(_rows_from_columns(cols))
+    corr = metric_correlations(cols)
     assert not corr.defined[2]
     assert np.all(np.isnan(corr.values[2, :]))
     assert np.all(np.isnan(corr.values[:, 2]))
@@ -192,9 +187,9 @@ def test_zero_variance_column_flagged_undefined():
 
 
 def test_correlations_need_three_rows():
-    rows = _rows_from_columns(np.random.default_rng(0).random((2, 4)))
+    cols = np.random.default_rng(0).random((2, 4))
     with pytest.raises(ValueError, match="at least 3"):
-        metric_correlations(rows)
+        metric_correlations(cols)
 
 
 def test_metrics_invariant_to_class_relabeling():

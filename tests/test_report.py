@@ -14,7 +14,15 @@ from efcilab.report import (
     render_heatmap_svg,
     write_bundle_json,
 )
-from efcilab.stats.regression import ols_fit
+from efcilab.metrics import CorrelationMatrix
+from efcilab.stats.analysis import (
+    AnovaRow,
+    AnovaTable,
+    ModelCandidate,
+    PairwiseMatrix,
+    ScreeningRow,
+)
+from efcilab.stats.regression import DiagnosticsBundle, GramDiagnostic, ols_fit
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +60,31 @@ def test_bundle_sections_present(bundle):
     assert coef["formula"] == bundle["diagnostics"]["formula"]
     assert coef["rows"][0]["coefficient"] == "intercept"
     assert all(0.0 <= r["p_value"] <= 1.0 for r in coef["rows"])
+
+
+def _fields(result_type) -> set[str]:
+    return {f.name for f in dataclasses.fields(result_type)}
+
+
+def test_bundle_sections_are_their_stats_result_fields(bundle):
+    # each section's keys are its dataclass's fields plus the few extras analyze adds
+    assert set(bundle["correlations"]) == _fields(CorrelationMatrix)
+    for response in ("avg_acc", "forgetting"):
+        assert all(set(r) == _fields(ScreeningRow) for r in bundle["screening"][response])
+        assert set(bundle["aic"][response]) == {"best", "candidates"}
+        for c in bundle["aic"][response]["candidates"]:
+            assert set(c) == _fields(ModelCandidate)
+    assert len(bundle["anova"]) == 3
+    for table in bundle["anova"]:
+        assert set(table) == _fields(AnovaTable)
+        assert all(set(r) == _fields(AnovaRow) for r in table["rows"])
+    assert bundle["pairwise"]
+    for pw in bundle["pairwise"]:
+        assert set(pw) == _fields(PairwiseMatrix) | {"title", "slug"}
+    diag = bundle["diagnostics"]
+    assert set(diag) == _fields(DiagnosticsBundle) | {"formula", "r_squared", "aic", "gram"}
+    assert set(diag["gram"]) == _fields(GramDiagnostic)
+    assert set(bundle["coefficients"]) == {"formula", "rows"}
 
 
 def test_bundle_screening_recovers_strong_predictor(bundle):
