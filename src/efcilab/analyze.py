@@ -8,10 +8,12 @@ the field dict of its stats result (``_as_json``), so the stats dataclasses
 are the bundle's schema; NaN is written as None. Only a few keys are not
 fields: a pairwise section's title and slug, the AIC winner (``best``), the
 diagnostics' formula, R^2, AIC and Gram check, and the coefficient table,
-which comes from the fit's arrays. The records become one column table
-(pairwise subgroups are masked takes of it), and every section fits through
-its memo: each distinct model is fitted once per bundle, and the memo goes
-with the table.
+which comes from the fit's arrays. ``build_report_bundle`` is the one place
+where the records become a column table (pairwise subgroups are masked
+takes of it); every section takes that table and fits through its memo, so
+each distinct model is fitted once per bundle, and the memo goes with the
+table. The diagnostics encode the selected model once, for both the
+residual point sets and the Gram check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from .stats.analysis import (
     screen_variables,
     select_model_aic,
 )
-from .stats.design import DesignError, RecordTable, RunRecord, parse_formula, record_table
+from .stats.design import (
+    DesignError,
+    RecordTable,
+    RunRecord,
+    encode_design,
+    parse_formula,
+    record_table,
+)
 from .stats.linalg import RankDeficientError
 from .stats.regression import diagnostics, gram_min_eigenvalue
 
@@ -158,9 +167,11 @@ def build_report_bundle(
     return bundle
 
 
-def _add_pairwise(bundle: dict, records, formula: str, alpha: float, title: str) -> None:
+def _add_pairwise(
+    bundle: dict, table: RecordTable, formula: str, alpha: float, title: str
+) -> None:
     try:
-        pw = pairwise_comparison(records, formula, alpha=alpha, variable="train")
+        pw = pairwise_comparison(table, formula, alpha=alpha, variable="train")
     except DesignError as exc:
         bundle["warnings"].append(f"pairwise {title!r} skipped: {exc}")
         return
@@ -210,13 +221,14 @@ def _add_diagnostics(bundle, table: RecordTable, usable_responses, warnings) -> 
     except (DesignError, RankDeficientError) as exc:
         warnings.append(f"diagnostics for {model!r} skipped: {exc}")
         return
+    design = encode_design(table, model)
     bundle["coefficients"] = {"formula": model, "rows": _coef_rows(fit)}
     bundle["diagnostics"] = {
         "formula": model,
         "r_squared": fit.r_squared,
         "aic": fit.aic,
-        **_as_json(diagnostics(fit)),
-        "gram": _as_json(gram_min_eigenvalue(fit.design())),
+        **_as_json(diagnostics(fit, design)),
+        "gram": _as_json(gram_min_eigenvalue(design)),
     }
 
 

@@ -17,9 +17,11 @@ from .design import (
     DesignError,
     DesignMatrix,
     Formula,
+    RecordTable,
     RunRecord,
     encode_design,
     parse_formula,
+    record_table,
 )
 from .distributions import (
     f_pvalue,
@@ -35,7 +37,6 @@ from .regression import (
     diagnostics,
     gram_min_eigenvalue,
     ols_fit,
-    standardized_residuals,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "ModelSelection",
     "PairwiseMatrix",
     "RankDeficientError",
+    "RecordTable",
     "RegressionFit",
     "RunRecord",
     "ScreeningRow",
@@ -64,9 +66,9 @@ __all__ = [
     "ols_fit",
     "pairwise_comparison",
     "parse_formula",
+    "record_table",
     "regularized_incomplete_beta",
     "screen_variables",
     "select_model_aic",
-    "standardized_residuals",
     "student_t_pvalue",
 ]

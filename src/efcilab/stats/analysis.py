@@ -5,54 +5,53 @@ model holding every term that does not contain it), which makes the
 table invariant to term declaration order. Pairwise comparisons read
 every level pair from one fit's coefficients and covariance and gate
 significance with a Bonferroni-corrected threshold over unordered pairs.
-All of them fit through ``fit_model``, the fit memo of a record table.
+Every function takes one ``RecordTable`` and fits through ``fit_model``,
+the table's fit memo: each distinct model is fitted once per table, and
+its fits are shared, so callers must not modify them. ANOVA encodes the
+nested models it compares to form their fitted values.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .design import DesignError, Formula, RecordTable, encode_design, parse_formula, record_table
+from .design import DesignError, Formula, RecordTable, encode_design, parse_formula
 from .distributions import f_pvalue
 from .linalg import RankDeficientError
 from .regression import RegressionFit, ols_fit
 
 
 def fit_model(
-    records,
+    table: RecordTable,
     formula: Formula | str,
     reference_levels: dict[str, str] | None = None,
 ) -> RegressionFit:
-    """OLS fit of ``formula``, memoised on the record table.
+    """OLS fit of ``formula``, memoised on ``table``.
 
     The key is (response, terms, reference levels), so callers that share a
-    table fit each distinct model once; a model that cannot be fitted raises
-    again without a retry. The fits returned share their estimate arrays,
-    which callers must not modify.
+    table fit each distinct model once and get the same fit object, which
+    they must not modify. A model that cannot be fitted raises again without
+    a retry.
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    table = record_table(records)
     refs = reference_levels or {}
     key = (formula.response, formula.terms, tuple(sorted(refs.items())))
     if key not in table.fits:
         try:
-            fit = ols_fit(encode_design(table, formula, refs))
+            table.fits[key] = ols_fit(encode_design(table, formula, refs))
         except (DesignError, RankDeficientError) as exc:
-            table.fits[key] = exc.with_traceback(None)  # a traceback would pin the call's arrays
-        else:
-            table.fits[key] = dataclasses.replace(fit, design=None)  # estimates only
+            # a copy has no traceback or context: the memo pins none of the call's frames
+            table.fits[key] = copy.copy(exc)
     fit = table.fits[key]
     if isinstance(fit, Exception):
-        raise fit
-    # each caller gets a copy that re-encodes its rows when it reads per-row arrays
-    return dataclasses.replace(fit, design=partial(encode_design, table, formula, refs))
+        raise copy.copy(fit)  # each raise starts a fresh traceback on a fresh object
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -93,39 +92,47 @@ def _term_contains(term: str, variable: str) -> bool:
     return variable in term.split(":")
 
 
-def _fit_terms(table: RecordTable, formula: Formula, terms, refs, context: str) -> RegressionFit:
-    """Fit of ``formula`` cut down to ``terms`` (kept in formula order)."""
-    kept = tuple(t for t in formula.terms if t in terms)
+def _fit_terms(
+    table: RecordTable, formula: Formula, terms, refs, context: str
+) -> tuple[Formula, RegressionFit]:
+    """``formula`` cut down to ``terms`` (kept in formula order), and its fit."""
+    nested = Formula(formula.response, tuple(t for t in formula.terms if t in terms))
     try:
-        return fit_model(table, Formula(formula.response, kept), refs)
+        return nested, fit_model(table, nested, refs)
     except RankDeficientError as exc:
         raise DesignError(f"{context}: {exc}") from None
 
 
 def anova_partial_eta2(
-    records,
+    table: RecordTable,
     formula: Formula | str,
     reference_levels: dict[str, str] | None = None,
 ) -> AnovaTable:
     """Type-II ANOVA with partial eta squared per variable."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    table = record_table(records)
-    full_fit = _fit_terms(table, formula, formula.terms, reference_levels, f"full model {formula}")
+    _, full_fit = _fit_terms(
+        table, formula, formula.terms, reference_levels, f"full model {formula}"
+    )
     ss_res = full_fit.ssr
     df_res = full_fit.df_resid
 
     rows: list[AnovaRow] = []
     for term in formula.terms:
         base_terms = [t for t in formula.terms if t != term and not _term_contains(t, term)]
-        base = _fit_terms(table, formula, base_terms, reference_levels, f"model without {term!r}")
+        base_model, base = _fit_terms(
+            table, formula, base_terms, reference_levels, f"model without {term!r}"
+        )
         # when no other term contains ``term`` this is the full model, fitted once
-        with_term = _fit_terms(
+        with_model, with_term = _fit_terms(
             table, formula, base_terms + [term], reference_levels, f"model testing {term!r}"
         )
         # nested models: SSR_base - SSR_with = ||fitted_with - fitted_base||^2, formed
         # without cancellation; an exactly fitting base model leaves nothing to add
-        gap = with_term.fitted - base.fitted
+        gap = (
+            encode_design(table, with_model, reference_levels).x @ with_term.beta
+            - encode_design(table, base_model, reference_levels).x @ base.beta
+        )
         sum_sq = float(gap @ gap) if base.ssr > 0 else 0.0
         df = with_term.n_params - base.n_params
         if ss_res > 0:
@@ -166,7 +173,7 @@ class ScreeningRow:
 
 
 def screen_variables(
-    records,
+    table: RecordTable,
     response: str,
     candidates: Sequence[str],
     alpha: float = 0.05,
@@ -177,7 +184,6 @@ def screen_variables(
     column, too few rows) are silently excluded, as are those whose
     model p-value misses ``alpha``.
     """
-    table = record_table(records)
     rows: list[ScreeningRow] = []
     for var in candidates:
         try:
@@ -207,7 +213,7 @@ class ModelSelection:
 
 
 def select_model_aic(
-    records,
+    table: RecordTable,
     response: str,
     candidate_formulas: Sequence[str],
 ) -> ModelSelection:
@@ -216,7 +222,6 @@ def select_model_aic(
     Ties (within 1e-9) prefer fewer parameters, then earlier declaration.
     Unfittable formulas are reported and skipped.
     """
-    table = record_table(records)
     candidates: list[ModelCandidate] = []
     best: tuple[float, int, int] | None = None  # (aic, n_params, index)
     best_formula: Formula | None = None
@@ -269,13 +274,9 @@ class PairwiseMatrix:
     alpha: float
     corrected_alpha: float
 
-    def pair(self, level_i: str, level_j: str) -> tuple[float, float, bool]:
-        i, j = self.levels.index(level_i), self.levels.index(level_j)
-        return float(self.gain[i, j]), float(self.p_values[i, j]), bool(self.significant[i, j])
-
 
 def pairwise_comparison(
-    records,
+    table: RecordTable,
     formula: Formula | str,
     alpha: float = 0.05,
     variable: str = "train",
@@ -294,8 +295,6 @@ def pairwise_comparison(
         raise DesignError(f"formula {formula} does not contain {variable!r} as a term")
     # the compared variable's own reference level changes no contrast
     refs = {k: v for k, v in (reference_levels or {}).items() if k != variable}
-
-    table = record_table(records)
     levels = table.levels.get(variable, ())
     n_levels = len(levels)
     if n_levels < 2:

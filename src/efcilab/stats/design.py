@@ -1,6 +1,7 @@
 """Run records, formulas, column tables, and treatment-coded design matrices.
 
-Records are encoded through a column table: one numpy array per variable,
+``record_table`` turns records into a column table, the one input of the
+encoder and of every analysis function: one numpy array per variable,
 built in one pass, with categoricals as codes into their sorted levels.
 Categorical factors are one-hot encoded with a dropped reference level;
 numeric and binary factors enter as single columns. Column order is
@@ -117,10 +118,8 @@ class RecordTable:
         return RecordTable(columns, levels)
 
 
-def record_table(records: Sequence[RunRecord] | RecordTable) -> RecordTable:
-    """``records`` as a column table, built in one pass; a table passes through."""
-    if isinstance(records, RecordTable):
-        return records
+def record_table(records: Sequence[RunRecord]) -> RecordTable:
+    """``records`` as a column table, built in one pass."""
     values = list(zip(*map(attrgetter(*RECORD_VARIABLES), records))) or [()] * len(RECORD_VARIABLES)
     columns, levels = {}, {}
     for var, column in zip(RECORD_VARIABLES, values):
@@ -169,17 +168,13 @@ def _expand_variable(
 
 
 def encode_design(
-    records: Sequence[RunRecord] | RecordTable,
+    table: RecordTable,
     formula: Formula | str,
     reference_levels: dict[str, str] | None = None,
 ) -> DesignMatrix:
-    """Build the treatment-coded design matrix for ``formula`` over ``records``.
-
-    ``records`` is a column table or a list of records, converted once here.
-    """
+    """Build the treatment-coded design matrix for ``formula`` over ``table``'s rows."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    table = record_table(records)
     if table.n == 0:
         raise DesignError("no records to encode")
     refs = dict(reference_levels or {})

@@ -23,6 +23,9 @@ class RankDeficientError(ValueError):
         super().__init__(message)
         self.column_indices = column_indices
 
+    def __reduce__(self):  # copies and pickles keep the columns
+        return type(self), (self.args[0], self.column_indices)
+
 
 class QRFactors(NamedTuple):
     """Thin QR of an n x p matrix (n >= p): A = Q R."""

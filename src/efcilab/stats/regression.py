@@ -1,5 +1,7 @@
 """Ordinary least squares with inference, diagnostics, and a Gram check.
 
+A fit holds estimates only; ``diagnostics(fit, design)`` computes the
+per-row fitted values, residuals and leverages from the fit's design.
 The numerics are numpy's LAPACK: a thin QR for the fit, its Q for the
 leverages (hat diagonal), and ``eigvalsh`` for the Gram check.
 """
@@ -8,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -20,13 +20,8 @@ from .linalg import RankDeficientError, hat_diagonal, least_squares, qr_factor, 
 
 @dataclass
 class RegressionFit:
-    """OLS estimates with Student-t inference and fit statistics.
+    """OLS estimates with Student-t inference and fit statistics."""
 
-    ``design`` returns the fit's design; the per-row quantities (fitted
-    values, residuals, leverages) are computed from it on first read.
-    """
-
-    design: Callable[[], DesignMatrix]
     formula: str
     column_labels: list[str]
     beta: np.ndarray
@@ -43,19 +38,6 @@ class RegressionFit:
     aic: float
     f_stat: float
     f_pvalue: float
-
-    @cached_property
-    def fitted(self) -> np.ndarray:
-        return self.design().x @ self.beta
-
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        return self.design().y - self.fitted
-
-    @cached_property
-    def hat_diag(self) -> np.ndarray:
-        """Leverages: the diagonal of X (X^T X)^{-1} X^T."""
-        return hat_diagonal(qr_factor(self.design().x))
 
     def coef(self, label: str) -> tuple[float, float, float, float]:
         """(estimate, se, t, p) for one column label."""
@@ -131,7 +113,6 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         f_stat, f_p = math.nan, math.nan
 
     fit = RegressionFit(
-        design=lambda: design,
         formula=str(design.formula),
         column_labels=list(design.column_labels),
         beta=beta,
@@ -166,26 +147,28 @@ class DiagnosticsBundle:
     std_residuals: np.ndarray  # row order
 
 
-def standardized_residuals(fit: RegressionFit) -> np.ndarray:
-    """Internally studentized residuals; zero when the fit is exact."""
+def diagnostics(fit: RegressionFit, design: DesignMatrix) -> DiagnosticsBundle:
+    """Q-Q, scale-location, and residual-vs-leverage point sets of ``fit`` on ``design``.
+
+    Residuals are internally studentized (zero when the fit is exact); the
+    leverages are the diagonal of X (X^T X)^{-1} X^T.
+    """
+    fitted = design.x @ fit.beta
+    residuals = design.y - fitted
+    leverage = hat_diagonal(qr_factor(design.x))
     sigma = math.sqrt(fit.sigma2)
     if sigma == 0.0:
-        return np.zeros_like(fit.residuals)
-    denom = sigma * np.sqrt(np.clip(1.0 - fit.hat_diag, 1e-12, None))
-    return fit.residuals / denom
-
-
-def diagnostics(fit: RegressionFit) -> DiagnosticsBundle:
-    """Q-Q, scale-location, and residual-vs-leverage point sets."""
-    std_resid = standardized_residuals(fit)
+        std_resid = np.zeros_like(residuals)
+    else:
+        std_resid = residuals / (sigma * np.sqrt(np.clip(1.0 - leverage, 1e-12, None)))
     n = fit.n_obs
     theoretical = np.array([inv_norm_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return DiagnosticsBundle(
         qq_theoretical=theoretical,
         qq_residuals=np.sort(std_resid),
-        fitted=fit.fitted.copy(),
+        fitted=fitted,
         sqrt_abs_std_residuals=np.sqrt(np.abs(std_resid)),
-        leverage=fit.hat_diag.copy(),
+        leverage=leverage,
         std_residuals=std_resid,
     )
 

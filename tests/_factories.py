@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from efcilab.stats.design import DesignMatrix, Formula, RunRecord
+from efcilab.stats.design import DesignMatrix, Formula, RecordTable, RunRecord, record_table
 
 
 def design_from_arrays(x, y, labels=None) -> DesignMatrix:
@@ -72,3 +72,8 @@ def make_records(
             )
         )
     return records
+
+
+def make_table(n, seed=0, **kwargs) -> RecordTable:
+    """``make_records(n, seed, **kwargs)`` as the column table the stats functions take."""
+    return record_table(make_records(n, seed=seed, **kwargs))

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _factories import make_records
+from _factories import make_table
 from efcilab.analyze import build_report_bundle
 from efcilab.config import default_config
 from efcilab.datagen import SynthSpec, synth_features
@@ -26,7 +26,7 @@ from efcilab.learners import (
 from efcilab.metrics import avg_forgetting, avg_incremental_accuracy
 from efcilab.report import render_bundle
 from efcilab.stats.analysis import anova_partial_eta2, pairwise_comparison
-from efcilab.stats.design import DesignMatrix, Formula, encode_design
+from efcilab.stats.design import DesignMatrix, Formula, encode_design, record_table
 from efcilab.stats.regression import ols_fit
 
 mp.mp.dps = 40
@@ -147,7 +147,7 @@ def test_criterion_03_ols_oracle():
         fit = ols_fit(_design_from_arrays(x, y))
         beta_ref = np.linalg.solve(x.T @ x, x.T @ y)
         worst_beta = max(worst_beta, float(np.max(np.abs(fit.beta - beta_ref))))
-        worst_orth = max(worst_orth, float(np.max(np.abs(x.T @ fit.residuals))))
+        worst_orth = max(worst_orth, float(np.max(np.abs(x.T @ (y - x @ fit.beta)))))
         resid = y - x @ beta_ref
         sigma2 = (resid @ resid) / (n - p)
         se = np.sqrt(np.diag(sigma2 * np.linalg.inv(x.T @ x)))
@@ -173,7 +173,7 @@ def test_criterion_04_reference_invariance_and_antisymmetry():
     for trial in range(20):
         n_levels = int(rng.integers(2, 6))
         levels = tuple(f"lvl{i}" for i in range(n_levels))
-        records = make_records(
+        table = make_table(
             120,
             seed=2000 + trial,
             train_levels=levels,
@@ -181,14 +181,14 @@ def test_criterion_04_reference_invariance_and_antisymmetry():
             incr_effects={"fetril": 0.05},
             noise=0.08,
         )
-        observed = sorted({r.train for r in records})
-        fits = {
-            ref: ols_fit(encode_design(records, "avg_acc ~ train + incr", {"train": ref}))
-            for ref in observed
+        observed = table.levels["train"]
+        designs = {
+            ref: encode_design(table, "avg_acc ~ train + incr", {"train": ref}) for ref in observed
         }
-        base = fits[observed[0]]
-        for fit in fits.values():
-            worst_fitted = max(worst_fitted, float(np.max(np.abs(fit.fitted - base.fitted))))
+        fits = {ref: ols_fit(design) for ref, design in designs.items()}
+        fitted = {ref: designs[ref].x @ fits[ref].beta for ref in observed}
+        for values in fitted.values():
+            worst_fitted = max(worst_fitted, float(np.max(np.abs(values - fitted[observed[0]]))))
         for ref_a in observed:
             for ref_b in observed:
                 if ref_a == ref_b:
@@ -197,7 +197,7 @@ def test_criterion_04_reference_invariance_and_antisymmetry():
                 beta_ba = fits[ref_b].coef(f"train[{ref_a}]")[0]
                 worst_antisym = max(worst_antisym, abs(beta_ab + beta_ba))
         if len(observed) >= 2:
-            pw = pairwise_comparison(records, "avg_acc ~ train + incr", alpha=0.05)
+            pw = pairwise_comparison(table, "avg_acc ~ train + incr", alpha=0.05)
             worst_antisym = max(worst_antisym, float(np.max(np.abs(pw.gain + pw.gain.T))))
             with np.errstate(invalid="ignore"):
                 uncorrected = pw.estimable & (pw.p_values < pw.alpha)
@@ -216,7 +216,7 @@ def test_criterion_04_reference_invariance_and_antisymmetry():
 
 
 def test_criterion_05_anova_identity():
-    records = make_records(
+    table = make_table(
         150,
         seed=1005,
         train_effects={"byol": 0.15, "dino": 0.3},
@@ -226,27 +226,27 @@ def test_criterion_05_anova_identity():
     )
 
     def independent_ssr(terms):
-        design = encode_design(records, Formula("avg_acc", tuple(terms)))
+        design = encode_design(table, Formula("avg_acc", tuple(terms)))
         beta, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
         resid = design.y - design.x @ beta
         return float(resid @ resid)
 
-    table = anova_partial_eta2(records, "avg_acc ~ train + incr + data")
+    anova = anova_partial_eta2(table, "avg_acc ~ train + incr + data")
     ssr_full = independent_ssr(("train", "incr", "data"))
     identity_ok = True
-    for row in table.rows:
+    for row in anova.rows:
         rest = [t for t in ("train", "incr", "data") if t != row.variable]
         ss_indep = independent_ssr(rest) - ssr_full
         eta_indep = ss_indep / (ss_indep + ssr_full)
         identity_ok &= abs(row.partial_eta_sq - eta_indep) <= 1e-8
 
-    permuted = anova_partial_eta2(records, "avg_acc ~ data + incr + train")
+    permuted = anova_partial_eta2(table, "avg_acc ~ data + incr + train")
     order_ok = all(
-        abs(table.row(v).partial_eta_sq - permuted.row(v).partial_eta_sq) <= 1e-10
+        abs(anova.row(v).partial_eta_sq - permuted.row(v).partial_eta_sq) <= 1e-10
         for v in ("train", "incr", "data")
     )
 
-    noiseless = make_records(
+    noiseless = make_table(
         30, seed=1055, train_levels=("lo", "hi"), train_effects={"hi": 0.4},
         noise=0.0, incr_levels=("only",), data_levels=("only",),
     )
@@ -392,7 +392,7 @@ def test_criterion_08_qualitative_forgetting_anova(default_grid):
     records = table.records
     grid_ok = len(records) == 216 and not table.failures and elapsed < 120.0
 
-    anova = anova_partial_eta2(records, "forgetting ~ incr + train + data")
+    anova = anova_partial_eta2(record_table(records), "forgetting ~ incr + train + data")
     incr_first = anova.ranked()[0].variable == "incr"
 
     mean_f = {
@@ -451,7 +451,9 @@ def test_criterion_10_byte_identical_rerun(default_grid, tmp_path_factory):
 
 def test_criterion_11_qualitative_accuracy_anova(default_grid):
     _, table, _ = default_grid
-    ranked = anova_partial_eta2(table.records, "avg_acc ~ incr + train + data").ranked()
+    ranked = anova_partial_eta2(
+        record_table(table.records), "avg_acc ~ incr + train + data"
+    ).ranked()
     _verdict(
         11,
         "default grid: average-accuracy ANOVA ranks the initial training strategy first "

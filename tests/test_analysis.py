@@ -2,29 +2,63 @@
 
 import dataclasses
 import math
+import traceback
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from _factories import make_records
+from _factories import make_records, make_table
 from efcilab.stats.analysis import (
     anova_partial_eta2,
+    fit_model,
     pairwise_comparison,
     screen_variables,
     select_model_aic,
 )
-from efcilab.stats.design import DesignError, Formula, encode_design
+from efcilab.stats.design import DesignError, Formula, encode_design, record_table
 from efcilab.stats.linalg import RankDeficientError
 from efcilab.stats.regression import ols_fit
 
 
-def independent_ssr(records, formula_terms, response="avg_acc"):
+def independent_ssr(table, formula_terms, response="avg_acc"):
     """SSR via raw numpy lstsq on an independently assembled design."""
-    design = encode_design(records, Formula(response, tuple(formula_terms)))
+    design = encode_design(table, Formula(response, tuple(formula_terms)))
     beta, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
     resid = design.y - design.x @ beta
     return float(resid @ resid)
+
+
+# ---------------------------------------------------------------------------
+# Fit memo
+
+
+def test_fit_model_returns_the_stored_fit_holding_no_per_row_array():
+    table = make_table(40, seed=24, train_effects={"dino": 0.2})
+    fit = fit_model(table, "avg_acc ~ train + acc1")
+    assert fit_model(table, "avg_acc ~ train + acc1") is fit
+    arrays = [value for value in vars(fit).values() if isinstance(value, np.ndarray)]
+    assert arrays and all(a.shape[0] != fit.n_obs for a in arrays)
+
+
+@pytest.mark.parametrize(
+    "formula, error, columns",
+    [("avg_acc ~ data", DesignError, None), ("avg_acc ~ width", RankDeficientError, [1])],
+)
+def test_remembered_failure_raises_afresh_and_keeps_no_traceback(formula, error, columns):
+    records = make_records(30, seed=25, data_levels=("d1",))
+    table = record_table([dataclasses.replace(r, width=32.0) for r in records])
+    raised = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            fit_model(table, formula)
+        exc = info.value
+        tb_length = len(traceback.extract_tb(exc.__traceback__))
+        raised.append((type(exc), str(exc), getattr(exc, "column_indices", None), tb_length))
+    assert raised[0] == raised[1] == raised[2]
+    assert raised[0][0] is error and raised[0][2] == columns
+    (stored,) = table.fits.values()
+    assert stored.__traceback__ is None and stored.__context__ is None
 
 
 # ---------------------------------------------------------------------------
@@ -32,27 +66,27 @@ def independent_ssr(records, formula_terms, response="avg_acc"):
 
 
 def test_anova_eta2_matches_independent_ss_assembly():
-    records = make_records(
+    table = make_table(
         120,
         seed=1,
         train_effects={"byol": 0.1, "dino": 0.25},
         incr_effects={"fetril": -0.1},
         data_effects={"d2": 0.05},
     )
-    table = anova_partial_eta2(records, "avg_acc ~ train + incr + data")
-    ssr_full = independent_ssr(records, ("train", "incr", "data"))
+    anova = anova_partial_eta2(table, "avg_acc ~ train + incr + data")
+    ssr_full = independent_ssr(table, ("train", "incr", "data"))
     all_terms = ["train", "incr", "data"]
-    for row in table.rows:
+    for row in anova.rows:
         rest = [t for t in all_terms if t != row.variable]
-        ss_drop = independent_ssr(records, rest) - ssr_full
+        ss_drop = independent_ssr(table, rest) - ssr_full
         assert row.sum_sq == pytest.approx(ss_drop, rel=1e-8, abs=1e-10)
         assert row.partial_eta_sq == pytest.approx(ss_drop / (ss_drop + ssr_full), rel=1e-8)
-    assert table.residual_sum_sq == pytest.approx(ssr_full, rel=1e-10)
+    assert anova.residual_sum_sq == pytest.approx(ssr_full, rel=1e-10)
 
 
-def mp_ssr(records, terms):
+def mp_ssr(table, terms):
     """SSR of ``avg_acc`` on ``terms`` from the normal equations in 50 digits."""
-    sub = encode_design(records, Formula("avg_acc", tuple(terms)))
+    sub = encode_design(table, Formula("avg_acc", tuple(terms)))
     with mp.workdps(50):
         x = mp.matrix(sub.x.tolist())
         y = mp.matrix(sub.y.tolist())
@@ -63,23 +97,23 @@ def mp_ssr(records, terms):
 def test_anova_null_term_sum_sq_matches_high_precision_reference():
     # heavy noise, no data effect: the sum of squares is a small difference of
     # two large residual sums of squares
-    records = make_records(300, seed=81, noise=10.0)
-    row = anova_partial_eta2(records, "avg_acc ~ train + data").row("data")
+    table = make_table(300, seed=81, noise=10.0)
+    row = anova_partial_eta2(table, "avg_acc ~ train + data").row("data")
     with mp.workdps(50):
-        ref = mp_ssr(records, ["train"]) - mp_ssr(records, ["train", "data"])
+        ref = mp_ssr(table, ["train"]) - mp_ssr(table, ["train", "data"])
         assert abs((row.sum_sq - ref) / ref) <= 1e-10
 
 
 def test_anova_exact_fit_null_term_has_zero_sum_sq():
-    records = make_records(60, seed=3, train_effects={"dino": 0.3}, noise=0.0)
-    row = anova_partial_eta2(records, "avg_acc ~ train + incr").row("incr")
+    table = make_table(60, seed=3, train_effects={"dino": 0.3}, noise=0.0)
+    row = anova_partial_eta2(table, "avg_acc ~ train + incr").row("incr")
     assert (row.sum_sq, row.f_stat, row.p_value, row.partial_eta_sq) == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_anova_invariant_to_term_order():
-    records = make_records(90, seed=2, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
-    a = anova_partial_eta2(records, "avg_acc ~ train + incr + data")
-    b = anova_partial_eta2(records, "avg_acc ~ data + incr + train")
+    table = make_table(90, seed=2, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
+    a = anova_partial_eta2(table, "avg_acc ~ train + incr + data")
+    b = anova_partial_eta2(table, "avg_acc ~ data + incr + train")
     for variable in ("train", "incr", "data"):
         assert a.row(variable).sum_sq == pytest.approx(b.row(variable).sum_sq, rel=1e-10)
         assert a.row(variable).partial_eta_sq == pytest.approx(
@@ -88,37 +122,36 @@ def test_anova_invariant_to_term_order():
 
 
 def test_anova_noiseless_two_level_factor_eta2_one():
-    records = make_records(
+    table = make_table(
         24, seed=3, train_levels=("lo", "hi"), train_effects={"hi": 0.3}, noise=0.0,
         incr_levels=("only",), data_levels=("only",),
     )
-    table = anova_partial_eta2(records, "avg_acc ~ train")
-    row = table.row("train")
+    row = anova_partial_eta2(table, "avg_acc ~ train").row("train")
     assert row.partial_eta_sq == 1.0
     assert math.isinf(row.f_stat)
     assert row.p_value == 0.0
 
 
 def test_anova_independent_factor_has_tiny_eta2():
-    records = make_records(1000, seed=4, incr_effects={"fetril": 0.3})
-    table = anova_partial_eta2(records, "avg_acc ~ train + incr")
-    assert table.row("train").partial_eta_sq < 0.02
-    assert table.row("incr").partial_eta_sq > 0.5
+    table = make_table(1000, seed=4, incr_effects={"fetril": 0.3})
+    anova = anova_partial_eta2(table, "avg_acc ~ train + incr")
+    assert anova.row("train").partial_eta_sq < 0.02
+    assert anova.row("incr").partial_eta_sq > 0.5
 
 
 def test_anova_ranked_orders_by_eta2():
-    records = make_records(150, seed=5, train_effects={"dino": 0.4}, incr_effects={"fetril": 0.05})
-    ranked = anova_partial_eta2(records, "avg_acc ~ train + incr").ranked()
+    table = make_table(150, seed=5, train_effects={"dino": 0.4}, incr_effects={"fetril": 0.05})
+    ranked = anova_partial_eta2(table, "avg_acc ~ train + incr").ranked()
     assert ranked[0].variable == "train"
 
 
 def test_anova_type2_with_interaction_excludes_containing_terms():
-    records = make_records(200, seed=6, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
-    table = anova_partial_eta2(records, "avg_acc ~ train + incr + train:incr")
+    table = make_table(200, seed=6, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
+    anova = anova_partial_eta2(table, "avg_acc ~ train + incr + train:incr")
     # main effect of train judged against {incr}, not {incr, train:incr}
-    ssr_incr = independent_ssr(records, ("incr",))
-    ssr_incr_train = independent_ssr(records, ("incr", "train"))
-    assert table.row("train").sum_sq == pytest.approx(ssr_incr - ssr_incr_train, rel=1e-8)
+    ssr_incr = independent_ssr(table, ("incr",))
+    ssr_incr_train = independent_ssr(table, ("incr", "train"))
+    assert anova.row("train").sum_sq == pytest.approx(ssr_incr - ssr_incr_train, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -135,24 +168,24 @@ def test_anova_type2_with_interaction_excludes_containing_terms():
 def test_anova_fits_full_model_once(monkeypatch, formula, expected):
     import efcilab.stats.analysis as analysis
 
-    records = make_records(150, seed=8, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
+    table = make_table(150, seed=8, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
     calls = []
     monkeypatch.setattr(analysis, "ols_fit", lambda design: calls.append(1) or ols_fit(design))
-    anova_partial_eta2(records, formula)
+    anova_partial_eta2(table, formula)
     assert len(calls) == expected
 
 
-def _refit_anova_rows(records, formula):
+def _refit_anova_rows(table, formula):
     """Type-II rows from explicit base and "with" refits of every term."""
-    design = encode_design(records, formula)
+    design = encode_design(table, formula)
     full = ols_fit(design)
     rows = {}
     terms = design.formula.terms
     for term in terms:
         base = [t for t in terms if t != term and term not in t.split(":")]
-        fit_base = ols_fit(encode_design(records, Formula("avg_acc", tuple(base))))
+        fit_base = ols_fit(encode_design(table, Formula("avg_acc", tuple(base))))
         with_terms = tuple(t for t in terms if t in base or t == term)
-        fit_with = ols_fit(encode_design(records, Formula("avg_acc", with_terms)))
+        fit_with = ols_fit(encode_design(table, Formula("avg_acc", with_terms)))
         sum_sq = max(fit_base.ssr - fit_with.ssr, 0.0)
         df = fit_with.n_params - fit_base.n_params
         rows[term] = (sum_sq, df, (sum_sq / df) / (full.ssr / full.df_resid),
@@ -166,13 +199,13 @@ def _refit_anova_rows(records, formula):
      "avg_acc ~ train + incr + train:incr"],
 )
 def test_anova_matches_explicit_refit_of_every_model(formula):
-    records = make_records(
+    table = make_table(
         300, seed=9, train_effects={"dino": 0.2, "byol": 0.05},
         incr_effects={"fetril": 0.1}, data_effects={"d2": 0.03}, acc1_coef=0.3,
     )
-    table = anova_partial_eta2(records, formula)
-    for term, (sum_sq, df, f_stat, eta_sq) in _refit_anova_rows(records, formula).items():
-        row = table.row(term)
+    anova = anova_partial_eta2(table, formula)
+    for term, (sum_sq, df, f_stat, eta_sq) in _refit_anova_rows(table, formula).items():
+        row = anova.row(term)
         assert row.df == df
         assert row.sum_sq == pytest.approx(sum_sq, rel=1e-12, abs=0.0)
         assert row.f_stat == pytest.approx(f_stat, rel=1e-12, abs=0.0)
@@ -180,15 +213,13 @@ def test_anova_matches_explicit_refit_of_every_model(formula):
 
 
 def test_anova_infeasible_full_model_raises_design_error():
-    import dataclasses
-
     levels = ("a", "b", "c", "d", "e", "f")
-    records = [
+    table = record_table([
         dataclasses.replace(r, train=levels[i % 6])
         for i, r in enumerate(make_records(6, seed=7))
-    ]
+    ])
     with pytest.raises(DesignError, match="underdetermined"):
-        anova_partial_eta2(records, "avg_acc ~ train")
+        anova_partial_eta2(table, "avg_acc ~ train")
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +228,8 @@ def test_anova_infeasible_full_model_raises_design_error():
 
 def test_screening_exact_predictor_ranks_first_with_r2_one():
     records = make_records(60, seed=8)
-    records = [
-        type(r)(**{**r.__dict__, "avg_acc": r.acc1}) for r in records
-    ]
-    rows = screen_variables(records, "avg_acc", ("acc1", "n_mean", "width"), alpha=0.05)
+    table = record_table([type(r)(**{**r.__dict__, "avg_acc": r.acc1}) for r in records])
+    rows = screen_variables(table, "avg_acc", ("acc1", "n_mean", "width"), alpha=0.05)
     assert rows[0].variable == "acc1"
     assert rows[0].r_squared == pytest.approx(1.0, abs=1e-12)
 
@@ -208,26 +237,26 @@ def test_screening_exact_predictor_ranks_first_with_r2_one():
 def test_screening_excludes_pure_noise_usually():
     excluded = 0
     for seed in range(20):
-        records = make_records(500, seed=seed, noise=1.0)
-        rows = screen_variables(records, "avg_acc", ("width",), alpha=0.05)
+        table = make_table(500, seed=seed, noise=1.0)
+        rows = screen_variables(table, "avg_acc", ("width",), alpha=0.05)
         if not rows:
             excluded += 1
     assert excluded >= 18  # >= 90% of seeds
 
 
 def test_screening_sorted_by_r2_descending():
-    records = make_records(
+    table = make_table(
         300, seed=9, train_effects={"dino": 0.5}, incr_effects={"fetril": 0.2}, noise=0.02
     )
-    rows = screen_variables(records, "avg_acc", ("incr", "train"), alpha=0.05)
+    rows = screen_variables(table, "avg_acc", ("incr", "train"), alpha=0.05)
     assert [r.variable for r in rows] == ["train", "incr"]
     assert rows[0].r_squared >= rows[1].r_squared
 
 
 def test_screening_skips_constant_candidate():
     records = make_records(50, seed=10)
-    records = [type(r)(**{**r.__dict__, "width": 32.0}) for r in records]
-    rows = screen_variables(records, "avg_acc", ("width",), alpha=0.05)
+    table = record_table([type(r)(**{**r.__dict__, "width": 32.0}) for r in records])
+    rows = screen_variables(table, "avg_acc", ("width",), alpha=0.05)
     assert rows == []
 
 
@@ -238,9 +267,9 @@ def test_screening_skips_constant_candidate():
 def test_aic_prefers_smaller_model_when_extra_term_is_noise():
     wins = 0
     for seed in range(100):
-        records = make_records(400, seed=100 + seed, incr_effects={"fetril": 0.2}, noise=0.1)
+        table = make_table(400, seed=100 + seed, incr_effects={"fetril": 0.2}, noise=0.1)
         selection = select_model_aic(
-            records, "avg_acc", ("avg_acc ~ incr", "avg_acc ~ incr + width")
+            table, "avg_acc", ("avg_acc ~ incr", "avg_acc ~ incr + width")
         )
         if str(selection.best) == "avg_acc ~ incr":
             wins += 1
@@ -248,9 +277,9 @@ def test_aic_prefers_smaller_model_when_extra_term_is_noise():
 
 
 def test_aic_identical_column_space_ties_broken_by_declaration():
-    records = make_records(80, seed=11, train_effects={"dino": 0.1})
+    table = make_table(80, seed=11, train_effects={"dino": 0.1})
     selection = select_model_aic(
-        records, "avg_acc", ("avg_acc ~ train + incr", "avg_acc ~ incr + train")
+        table, "avg_acc", ("avg_acc ~ train + incr", "avg_acc ~ incr + train")
     )
     aics = [c.aic for c in selection.candidates]
     assert aics[0] == pytest.approx(aics[1], abs=1e-9)
@@ -258,7 +287,7 @@ def test_aic_identical_column_space_ties_broken_by_declaration():
 
 
 def test_aic_true_model_beats_subformulas():
-    records = make_records(
+    table = make_table(
         400,
         seed=12,
         train_effects={"byol": 0.15, "dino": 0.3},
@@ -267,7 +296,7 @@ def test_aic_true_model_beats_subformulas():
         noise=0.03,
     )
     selection = select_model_aic(
-        records,
+        table,
         "avg_acc",
         (
             "avg_acc ~ train",
@@ -281,8 +310,8 @@ def test_aic_true_model_beats_subformulas():
 
 def test_aic_reports_and_skips_failing_formula():
     records = make_records(30, seed=13)
-    records = [type(r)(**{**r.__dict__, "width": 1.0}) for r in records]
-    selection = select_model_aic(records, "avg_acc", ("avg_acc ~ width", "avg_acc ~ acc1"))
+    table = record_table([type(r)(**{**r.__dict__, "width": 1.0}) for r in records])
+    selection = select_model_aic(table, "avg_acc", ("avg_acc ~ width", "avg_acc ~ acc1"))
     failed = selection.candidates[0]
     assert failed.error is not None and failed.aic is None
     assert str(selection.best) == "avg_acc ~ acc1"
@@ -290,15 +319,15 @@ def test_aic_reports_and_skips_failing_formula():
 
 def test_aic_all_failing_raises():
     records = make_records(30, seed=14)
-    records = [type(r)(**{**r.__dict__, "width": 1.0}) for r in records]
+    table = record_table([type(r)(**{**r.__dict__, "width": 1.0}) for r in records])
     with pytest.raises(DesignError, match="no candidate"):
-        select_model_aic(records, "avg_acc", ("avg_acc ~ width",))
+        select_model_aic(table, "avg_acc", ("avg_acc ~ width",))
 
 
 def test_aic_response_mismatch_rejected():
-    records = make_records(30, seed=15)
+    table = make_table(30, seed=15)
     with pytest.raises(DesignError, match="expected"):
-        select_model_aic(records, "avg_acc", ("forgetting ~ acc1",))
+        select_model_aic(table, "avg_acc", ("forgetting ~ acc1",))
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +336,10 @@ def test_aic_response_mismatch_rejected():
 
 def test_pairwise_recovers_known_effects():
     effects = {"a": 0.0, "b": 1.0, "c": 2.0}
-    records = make_records(
+    table = make_table(
         300, seed=16, train_levels=("a", "b", "c"), train_effects=effects, noise=0.01
     )
-    pw = pairwise_comparison(records, "avg_acc ~ train", alpha=0.05)
+    pw = pairwise_comparison(table, "avg_acc ~ train", alpha=0.05)
     assert pw.levels == ("a", "b", "c")
     assert pw.n_tests == 3
     for i, lvl_i in enumerate(pw.levels):
@@ -324,35 +353,35 @@ def test_pairwise_recovers_known_effects():
 
 
 def test_pairwise_cross_fit_antisymmetry():
-    records = make_records(120, seed=17, train_effects={"byol": 0.2, "dino": -0.1})
+    table = make_table(120, seed=17, train_effects={"byol": 0.2, "dino": -0.1})
     formula = "avg_acc ~ train + incr"
-    levels = sorted({r.train for r in records})
+    levels = table.levels["train"]
     for ref_a in levels:
-        fit_a = ols_fit(encode_design(records, formula, {"train": ref_a}))
+        fit_a = ols_fit(encode_design(table, formula, {"train": ref_a}))
         for ref_b in levels:
             if ref_a == ref_b:
                 continue
-            fit_b = ols_fit(encode_design(records, formula, {"train": ref_b}))
+            fit_b = ols_fit(encode_design(table, formula, {"train": ref_b}))
             beta_ab = fit_a.coef(f"train[{ref_b}]")[0]
             beta_ba = fit_b.coef(f"train[{ref_a}]")[0]
             assert abs(beta_ab + beta_ba) <= 1e-12
 
 
 def test_pairwise_reference_choice_leaves_fitted_values_unchanged():
-    records = make_records(80, seed=18, train_effects={"dino": 0.3})
-    fits = [
-        ols_fit(encode_design(records, "avg_acc ~ train + incr", {"train": ref}))
-        for ref in sorted({r.train for r in records})
-    ]
-    for other in fits[1:]:
-        assert np.max(np.abs(fits[0].fitted - other.fitted)) <= 1e-10
+    table = make_table(80, seed=18, train_effects={"dino": 0.3})
+    fitted = []
+    for ref in table.levels["train"]:
+        design = encode_design(table, "avg_acc ~ train + incr", {"train": ref})
+        fitted.append(design.x @ ols_fit(design).beta)
+    for other in fitted[1:]:
+        assert np.max(np.abs(fitted[0] - other)) <= 1e-10
 
 
 def test_pairwise_null_levels_rarely_significant():
     false_hits = 0
     for seed in range(20):
-        records = make_records(200, seed=200 + seed, train_effects={}, noise=0.2)
-        pw = pairwise_comparison(records, "avg_acc ~ train", alpha=0.05)
+        table = make_table(200, seed=200 + seed, train_effects={}, noise=0.2)
+        pw = pairwise_comparison(table, "avg_acc ~ train", alpha=0.05)
         if pw.significant.any():
             false_hits += 1
     assert false_hits <= 1  # >= 95% of seeds fully null
@@ -360,52 +389,52 @@ def test_pairwise_null_levels_rarely_significant():
 
 def test_pairwise_bonferroni_threshold_arithmetic():
     levels = tuple(f"s{i:02d}" for i in range(13))
-    records = make_records(400, seed=19, train_levels=levels, noise=0.3)
-    pw = pairwise_comparison(records, "avg_acc ~ train", alpha=0.05)
+    table = make_table(400, seed=19, train_levels=levels, noise=0.3)
+    pw = pairwise_comparison(table, "avg_acc ~ train", alpha=0.05)
     assert pw.n_tests == 78
     assert pw.corrected_alpha == pytest.approx(0.05 / 78)
 
 
 def test_pairwise_corrected_significant_subset_of_uncorrected():
     for seed in range(10):
-        records = make_records(
+        table = make_table(
             150, seed=300 + seed, train_effects={"byol": 0.05, "dino": 0.02}, noise=0.1
         )
-        pw = pairwise_comparison(records, "avg_acc ~ train", alpha=0.05)
+        pw = pairwise_comparison(table, "avg_acc ~ train", alpha=0.05)
         with np.errstate(invalid="ignore"):
             uncorrected = pw.estimable & (pw.p_values < pw.alpha)
         assert np.all(uncorrected[pw.significant])
 
 
 def test_pairwise_requires_variable_in_formula():
-    records = make_records(40, seed=20)
+    table = make_table(40, seed=20)
     with pytest.raises(DesignError, match="does not contain"):
-        pairwise_comparison(records, "avg_acc ~ incr", alpha=0.05, variable="train")
+        pairwise_comparison(table, "avg_acc ~ incr", alpha=0.05, variable="train")
 
 
 def test_pairwise_single_level_rejected():
-    records = make_records(40, seed=21, train_levels=("only",))
+    table = make_table(40, seed=21, train_levels=("only",))
     with pytest.raises(DesignError, match=">= 2 levels"):
-        pairwise_comparison(records, "avg_acc ~ train", alpha=0.05)
+        pairwise_comparison(table, "avg_acc ~ train", alpha=0.05)
 
 
 def test_pairwise_honors_other_reference_levels():
-    records = make_records(120, seed=22, train_effects={"dino": 0.2})
-    pw1 = pairwise_comparison(records, "avg_acc ~ train + incr", reference_levels={"incr": "fetril"})
-    pw2 = pairwise_comparison(records, "avg_acc ~ train + incr", reference_levels={"incr": "dslda"})
+    table = make_table(120, seed=22, train_effects={"dino": 0.2})
+    pw1 = pairwise_comparison(table, "avg_acc ~ train + incr", reference_levels={"incr": "fetril"})
+    pw2 = pairwise_comparison(table, "avg_acc ~ train + incr", reference_levels={"incr": "dslda"})
     # gains over train levels are invariant to the other factor's reference
     assert np.allclose(pw1.gain, pw2.gain, atol=1e-10)
 
 
-def refit_per_reference(records, formula):
+def refit_per_reference(table, formula):
     """Gains, p-values and estimability by refitting once per reference level of train."""
-    levels = sorted({r.train for r in records})
+    levels = table.levels["train"]
     gain = np.full((len(levels), len(levels)), np.nan)
     p_values = np.full_like(gain, np.nan)
     estimable = np.zeros(gain.shape, dtype=bool)
     for j, ref in enumerate(levels):
         try:
-            fit = ols_fit(encode_design(records, formula, {"train": ref}))
+            fit = ols_fit(encode_design(table, formula, {"train": ref}))
         except (DesignError, RankDeficientError):
             continue
         for i, level in enumerate(levels):
@@ -441,8 +470,9 @@ def test_pairwise_one_fit_matches_refit_per_reference(noise, formula, transform)
     )
     if transform is not None:
         records = transform(records)
-    pw = pairwise_comparison(records, formula, alpha=0.05)
-    gain, p_values, estimable = refit_per_reference(records, formula)
+    table = record_table(records)
+    pw = pairwise_comparison(table, formula, alpha=0.05)
+    gain, p_values, estimable = refit_per_reference(table, formula)
 
     assert np.array_equal(pw.estimable, estimable)
     assert transform is None or not estimable.any()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from _factories import make_records
+from _factories import make_records, make_table
 from efcilab.analyze import AIC_LADDERS, ANOVA_MODELS
 from efcilab.stats.analysis import screen_variables
 from efcilab.stats.design import (
@@ -36,8 +36,8 @@ def test_parse_formula_rejects_duplicates_and_garbage():
 
 
 def test_three_level_factor_gets_two_columns_plus_intercept():
-    records = make_records(30, seed=1)
-    design = encode_design(records, "avg_acc ~ train", {"train": "byol"})
+    table = make_table(30, seed=1)
+    design = encode_design(table, "avg_acc ~ train", {"train": "byol"})
     assert design.p == 3
     assert design.column_labels == ["intercept", "train[dino]", "train[scratch]"]
     assert design.reference_levels["train"] == "byol"
@@ -48,21 +48,21 @@ def test_three_level_factor_gets_two_columns_plus_intercept():
 
 
 def test_default_reference_is_first_sorted_level():
-    records = make_records(30, seed=2)
-    design = encode_design(records, "avg_acc ~ train")
+    table = make_table(30, seed=2)
+    design = encode_design(table, "avg_acc ~ train")
     assert design.reference_levels["train"] == "byol"
 
 
 def test_unknown_reference_level_rejected():
-    records = make_records(30, seed=3)
+    table = make_table(30, seed=3)
     with pytest.raises(DesignError, match="does not occur"):
-        encode_design(records, "avg_acc ~ train", {"train": "nonesuch"})
+        encode_design(table, "avg_acc ~ train", {"train": "nonesuch"})
 
 
 def test_unknown_variable_rejected():
-    records = make_records(12, seed=4)
+    table = make_table(12, seed=4)
     with pytest.raises(DesignError, match="unknown variable"):
-        encode_design(records, "avg_acc ~ epochs")
+        encode_design(table, "avg_acc ~ epochs")
 
 
 @pytest.mark.parametrize(
@@ -72,35 +72,35 @@ def test_unknown_variable_rejected():
     ids=["term", "product_right", "product_left", "response"],
 )
 def test_unknown_variable_message_in_every_position(formula):
-    records = make_records(12, seed=4)
+    table = make_table(12, seed=4)
     message = f"unknown variable 'epochs'; known: {sorted(RECORD_VARIABLES)}"
     with pytest.raises(DesignError, match=f"^{re.escape(message)}$"):
-        encode_design(records, formula)
+        encode_design(table, formula)
 
 
 def test_numeric_and_binary_variables_single_column():
     records = make_records(25, seed=5)
-    design = encode_design(records, "avg_acc ~ acc1 + scenario_b + n_mean")
+    design = encode_design(record_table(records), "avg_acc ~ acc1 + scenario_b + n_mean")
     assert design.column_labels == ["intercept", "acc1", "scenario_b", "n_mean"]
     assert np.allclose(design.x[:, 1], [r.acc1 for r in records])
 
 
 def test_underdetermined_design_rejected():
-    records = make_records(4, seed=6)
+    table = make_table(4, seed=6)
     with pytest.raises(DesignError, match="underdetermined"):
-        encode_design(records, "avg_acc ~ acc1 + n_mean + width + n1")
+        encode_design(table, "avg_acc ~ acc1 + n_mean + width + n1")
 
 
 def test_interaction_numeric_numeric_is_product():
     records = make_records(20, seed=7)
-    design = encode_design(records, "avg_acc ~ acc1 + n_mean + acc1:n_mean")
+    design = encode_design(record_table(records), "avg_acc ~ acc1 + n_mean + acc1:n_mean")
     col = design.x[:, design.term_columns["acc1:n_mean"][0]]
     assert np.allclose(col, [r.acc1 * r.n_mean for r in records])
 
 
 def test_interaction_categorical_categorical_crosses_levels():
-    records = make_records(60, seed=8)
-    design = encode_design(records, "avg_acc ~ train + incr + train:incr")
+    table = make_table(60, seed=8)
+    design = encode_design(table, "avg_acc ~ train + incr + train:incr")
     # (3-1) x (2-1) = 2 product columns
     assert len(design.term_columns["train:incr"]) == 2
     labels = [design.column_labels[i] for i in design.term_columns["train:incr"]]
@@ -108,15 +108,15 @@ def test_interaction_categorical_categorical_crosses_levels():
 
 
 def test_three_way_products_unsupported():
-    records = make_records(40, seed=9)
+    table = make_table(40, seed=9)
     with pytest.raises(DesignError, match="two-way"):
-        encode_design(records, "avg_acc ~ train:incr:data")
+        encode_design(table, "avg_acc ~ train:incr:data")
 
 
 def test_categorical_response_rejected():
-    records = make_records(10, seed=11)
+    table = make_table(10, seed=11)
     with pytest.raises(DesignError, match="must be numeric"):
-        encode_design(records, Formula("train", ("acc1",)))
+        encode_design(table, Formula("train", ("acc1",)))
 
 
 def reference_design(records, formula):
@@ -172,9 +172,9 @@ def test_column_table_design_equals_record_encoding(formula):
 def test_single_level_message_and_screening_skip():
     records = [dataclasses.replace(r, data="d1") for r in make_records(50, seed=15)]
     message = "variable 'data' has a single level ('d1'); nothing to contrast"
-    mixed = record_table(make_records(50, seed=15))
+    mixed = make_table(50, seed=15)
     one_level = mixed.take(mixed.columns["data"] == 0)
-    for rows in (records, record_table(records), one_level):
+    for rows in (record_table(records), one_level):
         with pytest.raises(DesignError, match=f"^{re.escape(message)}$"):
             encode_design(rows, "avg_acc ~ data")
         rows_kept = screen_variables(rows, "avg_acc", ("data", "acc1"), alpha=1.0)

@@ -7,15 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _factories import design_from_arrays, make_records
+from _factories import design_from_arrays, make_table
 from efcilab.stats.design import encode_design
-from efcilab.stats.linalg import RankDeficientError
-from efcilab.stats.regression import (
-    diagnostics,
-    gram_min_eigenvalue,
-    ols_fit,
-    standardized_residuals,
-)
+from efcilab.stats.linalg import RankDeficientError, hat_diagonal, qr_factor
+from efcilab.stats.regression import diagnostics, gram_min_eigenvalue, ols_fit
 
 mp.mp.dps = 40
 
@@ -27,10 +22,11 @@ def oracle_t_pvalue(t, df):
 
 def test_exact_line():
     x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
-    fit = ols_fit(design_from_arrays(x, [1.0, 3.0, 5.0]))
+    design = design_from_arrays(x, [1.0, 3.0, 5.0])
+    fit = ols_fit(design)
     assert np.allclose(fit.beta, [1.0, 2.0], atol=1e-12)
     assert fit.r_squared == 1.0
-    assert np.allclose(fit.residuals, 0.0, atol=1e-12)
+    assert np.allclose(design.y - design.x @ fit.beta, 0.0, atol=1e-12)
 
 
 def test_intercept_only_model():
@@ -52,7 +48,7 @@ def test_random_problems_match_normal_equations_and_oracle_pvalues():
         fit = ols_fit(design_from_arrays(x, y))
         beta_ref = np.linalg.solve(x.T @ x, x.T @ y)
         assert np.max(np.abs(fit.beta - beta_ref)) <= 1e-8
-        assert np.max(np.abs(x.T @ fit.residuals)) <= 1e-8
+        assert np.max(np.abs(x.T @ (y - x @ fit.beta))) <= 1e-8
         resid = y - x @ beta_ref
         sigma2 = (resid @ resid) / (n - p)
         se = np.sqrt(np.diag(sigma2 * np.linalg.inv(x.T @ x)))
@@ -84,8 +80,7 @@ def test_aic_definition():
 
 
 def test_collinear_columns_named():
-    records = make_records(40, seed=5)
-    design = encode_design(records, "avg_acc ~ acc1 + n_mean")
+    design = encode_design(make_table(40, seed=5), "avg_acc ~ acc1 + n_mean")
     design.x[:, 2] = design.x[:, 1] * 3.0
     with pytest.raises(RankDeficientError, match=r"collinear design columns: \['n_mean'\]"):
         ols_fit(design)
@@ -106,32 +101,32 @@ def test_perfect_fit_pvalues_degenerate():
 def test_perfect_fit_residual_points_all_zero():
     x = np.column_stack([np.ones(6), np.arange(6.0)])
     y = 1.0 + 2.0 * np.arange(6.0)
-    fit = ols_fit(design_from_arrays(x, y))
-    bundle = diagnostics(fit)
+    design = design_from_arrays(x, y)
+    bundle = diagnostics(ols_fit(design), design)
     assert np.allclose(bundle.qq_residuals, 0.0)
     assert np.allclose(bundle.sqrt_abs_std_residuals, 0.0)
     assert np.allclose(bundle.std_residuals, 0.0)
 
 
 def test_hat_diagonal_trace_is_p():
-    records = make_records(50, seed=6)
-    fit = ols_fit(encode_design(records, "avg_acc ~ train + acc1"))
-    assert fit.hat_diag.sum() == pytest.approx(fit.n_params, abs=1e-10)
+    design = encode_design(make_table(50, seed=6), "avg_acc ~ train + acc1")
+    fit = ols_fit(design)
+    assert diagnostics(fit, design).leverage.sum() == pytest.approx(fit.n_params, abs=1e-10)
 
 
 def test_hat_diag_matches_projection_matrix():
-    design = encode_design(make_records(60, seed=6), "avg_acc ~ train + acc1")
-    fit = ols_fit(design)
+    design = encode_design(make_table(60, seed=6), "avg_acc ~ train + acc1")
+    leverage = diagnostics(ols_fit(design), design).leverage
     x = design.x
     projection = x @ np.linalg.inv(x.T @ x) @ x.T
-    assert np.max(np.abs(fit.hat_diag - np.diag(projection))) <= 1e-12
+    assert np.max(np.abs(leverage - np.diag(projection))) <= 1e-12
 
 
 def test_fit_is_independent_of_design_memory_layout():
-    records = make_records(
+    table = make_table(
         2000, seed=12, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1}, acc1_coef=0.3
     )
-    design = encode_design(records, "avg_acc ~ acc1 + incr + train + data")
+    design = encode_design(table, "avg_acc ~ acc1 + incr + train + data")
     assert design.x.flags.c_contiguous
     fortran = dataclasses.replace(design, x=np.asfortranarray(design.x))
     reference = ols_fit(design)
@@ -146,16 +141,16 @@ def test_qq_slope_near_one_for_normal_residuals():
     n = 2000
     x = np.column_stack([np.ones(n), rng.standard_normal(n)])
     y = 0.5 + 1.5 * x[:, 1] + rng.standard_normal(n)
-    fit = ols_fit(design_from_arrays(x, y))
-    bundle = diagnostics(fit)
+    design = design_from_arrays(x, y)
+    bundle = diagnostics(ols_fit(design), design)
     slope = np.polyfit(bundle.qq_theoretical, bundle.qq_residuals, 1)[0]
     assert 0.95 <= slope <= 1.05
 
 
 def test_diagnostics_shapes_and_leverage_pairing():
-    records = make_records(30, seed=8)
-    fit = ols_fit(encode_design(records, "avg_acc ~ acc1"))
-    bundle = diagnostics(fit)
+    design = encode_design(make_table(30, seed=8), "avg_acc ~ acc1")
+    fit = ols_fit(design)
+    bundle = diagnostics(fit, design)
     n = fit.n_obs
     for arr in (
         bundle.qq_theoretical,
@@ -166,16 +161,18 @@ def test_diagnostics_shapes_and_leverage_pairing():
         bundle.std_residuals,
     ):
         assert arr.shape == (n,)
-    assert np.allclose(bundle.leverage, fit.hat_diag)
+    assert np.allclose(bundle.leverage, hat_diagonal(qr_factor(design.x)))
     assert np.allclose(np.sort(bundle.std_residuals), bundle.qq_residuals)
     assert np.allclose(bundle.sqrt_abs_std_residuals, np.sqrt(np.abs(bundle.std_residuals)))
 
 
 def test_standardized_residuals_use_leverage():
-    records = make_records(30, seed=9)
-    fit = ols_fit(encode_design(records, "avg_acc ~ acc1"))
-    expected = fit.residuals / (math.sqrt(fit.sigma2) * np.sqrt(1 - fit.hat_diag))
-    assert np.allclose(standardized_residuals(fit), expected)
+    design = encode_design(make_table(30, seed=9), "avg_acc ~ acc1")
+    fit = ols_fit(design)
+    residuals = design.y - design.x @ fit.beta
+    leverage = hat_diagonal(qr_factor(design.x))
+    expected = residuals / (math.sqrt(fit.sigma2) * np.sqrt(1 - leverage))
+    assert np.allclose(diagnostics(fit, design).std_residuals, expected)
 
 
 # ---------------------------------------------------------------------------
