@@ -161,9 +161,29 @@ def write_config(cfg: GridConfig, path: str | Path) -> None:
         path.write_text(yaml.safe_dump(data, sort_keys=True), encoding="utf-8")
 
 
+def _file_digest(path) -> str:
+    """sha256 of a file's bytes; an unreadable file (its runs fail) keeps its path."""
+    path = str(path)  # a YAML number must not open as a file descriptor
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except OSError:
+        return path
+    return digest.hexdigest()
+
+
 def config_hash(cfg: GridConfig) -> str:
-    """Stable short hash of the config contents."""
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """Stable short hash of the config contents.
+
+    A feature file enters by the sha256 of its bytes, not by its path, so
+    one grid over the same files hashes alike from any directory.
+    """
+    data = config_to_dict(cfg)
+    for strat in data["strategies"]:
+        strat["paths"] = {name: _file_digest(path) for name, path in strat["paths"].items()}
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 

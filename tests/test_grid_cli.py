@@ -83,6 +83,31 @@ def test_config_hash_changes_with_content():
     assert config_hash(cfg) != config_hash(dataclasses.replace(cfg, base_seed=78))
 
 
+def test_config_hash_reads_feature_file_bytes_not_paths(tmp_path):
+    ds = synth_features(SynthSpec(n_classes=4, dim=3, n_train=3, n_test=2, separation=3.0,
+                                  seed=5, name="ext"))
+    paths = [tmp_path / "a" / "ext.csv", tmp_path / "b" / "feats.csv"]
+    for path in paths:
+        path.parent.mkdir()
+        save_features(ds, path)
+
+    def file_config(path):
+        return toy_config(datasets=(DatasetSpec(name="ext", kind="file"),),
+                          strategies=(StrategySpec(name="emb", paths={"ext": str(path)}),))
+
+    first = config_hash(file_config(paths[0]))
+    assert config_hash(file_config(paths[1])) == first
+    data = bytearray(paths[1].read_bytes())
+    data[-2] = ord("1") if data[-2] != ord("1") else ord("2")  # a digit of the last value
+    paths[1].write_bytes(bytes(data))
+    assert config_hash(file_config(paths[1])) != first
+
+
+def test_default_config_hash_is_unchanged():
+    # a synthetic grid has no feature files: its hash is that of the config as written
+    assert config_hash(default_config()) == "911b5ab02c7f"
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="duplicate dataset"):
         config_from_dict(

@@ -15,8 +15,10 @@ from efcilab.learners import (
     LearnerError,
     NearestClassMean,
     StreamingLDA,
+    _anchor_prox,
+    _cosine_softmax_loss,
+    _unit_rows,
     argmax_by_class,
-    balanced_softmax_anchor_loss,
     fit_softmax_head,
     run_incremental,
     select_source_class,
@@ -384,13 +386,10 @@ def random_loss_config(rng):
     n = int(rng.integers(5, 20))
     weights = rng.standard_normal((n_classes, dim)) * 1.5 + 0.3
     scale = float(rng.uniform(1.0, 12.0))
-    features = rng.standard_normal((n, dim)) * 2.0
+    unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
     class_idx = rng.integers(0, n_classes, n)
     counts = rng.integers(1, 40, n_classes).astype(float)
-    mask = rng.random(n_classes) < 0.5
-    snapshot = weights + rng.standard_normal((n_classes, dim)) * 0.4
-    strength = float(rng.uniform(0.0, 0.5))
-    return weights, scale, features, class_idx, counts, mask, snapshot, strength
+    return weights, scale, unit_x, class_idx, counts
 
 
 def numerical_gradients(args, h=1e-6):
@@ -403,12 +402,12 @@ def numerical_gradients(args, h=1e-6):
             up[i, j] += h
             down[i, j] -= h
             grad_w[i, j] = (
-                balanced_softmax_anchor_loss(up, scale, *rest)[0]
-                - balanced_softmax_anchor_loss(down, scale, *rest)[0]
+                _cosine_softmax_loss(up, scale, *rest)[0]
+                - _cosine_softmax_loss(down, scale, *rest)[0]
             ) / (2 * h)
     grad_s = (
-        balanced_softmax_anchor_loss(weights, scale + h, *rest)[0]
-        - balanced_softmax_anchor_loss(weights, scale - h, *rest)[0]
+        _cosine_softmax_loss(weights, scale + h, *rest)[0]
+        - _cosine_softmax_loss(weights, scale - h, *rest)[0]
     ) / (2 * h)
     return grad_w, grad_s
 
@@ -417,40 +416,87 @@ def test_balanced_softmax_gradient_matches_finite_differences():
     rng = np.random.default_rng(123)
     for _ in range(10):
         args = random_loss_config(rng)
-        _, grad_w, grad_s = balanced_softmax_anchor_loss(*args)
+        _, grad_w, grad_s = _cosine_softmax_loss(*args)
         num_w, num_s = numerical_gradients(args)
         denom = max(np.max(np.abs(num_w)), 1e-9)
         assert np.max(np.abs(grad_w - num_w)) / denom <= 1e-4
         assert abs(grad_s - num_s) / max(abs(num_s), 1e-9) <= 1e-4
 
 
-def test_zero_anchor_strength_ignores_anchor_mask():
+def test_anchor_prox_minimises_its_objective():
     rng = np.random.default_rng(11)
-    weights, scale, features, class_idx, counts, _, snapshot, _ = random_loss_config(rng)
-    outputs = [
-        balanced_softmax_anchor_loss(
-            weights, scale, features, class_idx, counts, np.full(len(weights), flag), snapshot, 0.0
-        )
-        for flag in (True, False)
-    ]
-    (loss_t, grad_t, scale_t), (loss_f, grad_f, scale_f) = outputs
-    assert np.float64(loss_t).tobytes() == np.float64(loss_f).tobytes()
-    assert grad_t.tobytes() == grad_f.tobytes()
-    assert np.float64(scale_t).tobytes() == np.float64(scale_f).tobytes()
+    for _ in range(10):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 9)))
+        stepped, snapshot = rng.standard_normal(shape) * 3, rng.standard_normal(shape) * 3
+        lr, strength = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.0, 1e3))
+
+        def objective(w):
+            return strength * np.sum((w - snapshot) ** 2) + np.sum((w - stepped) ** 2) / (2 * lr)
+
+        best = _anchor_prox(stepped, snapshot, lr, strength)
+        # the objective is a strictly convex quadratic: its gradient vanishes
+        # at the minimiser and every move away from it costs
+        gradient = 2 * strength * (best - snapshot) + (best - stepped) / lr
+        assert np.max(np.abs(gradient)) <= 1e-10 * (strength + 1 / lr) * np.max(np.abs(best))
+        for _ in range(5):
+            assert objective(best + 1e-3 * rng.standard_normal(shape)) > objective(best)
 
 
 def test_equal_counts_reduce_to_plain_softmax():
     rng = np.random.default_rng(4)
-    weights, scale, features, class_idx, _, mask, snapshot, _ = random_loss_config(rng)
+    weights, scale, unit_x, class_idx, _ = random_loss_config(rng)
     counts_equal = np.full(weights.shape[0], 17.0)
     counts_one = np.ones(weights.shape[0])
-    balanced = balanced_softmax_anchor_loss(
-        weights, scale, features, class_idx, counts_equal, mask, snapshot, 0.0
-    )[0]
-    plain = balanced_softmax_anchor_loss(
-        weights, scale, features, class_idx, counts_one, mask, snapshot, 0.0
-    )[0]
+    balanced = _cosine_softmax_loss(weights, scale, unit_x, class_idx, counts_equal)[0]
+    plain = _cosine_softmax_loss(weights, scale, unit_x, class_idx, counts_one)[0]
     assert abs(balanced - plain) <= 1e-12
+
+
+def reference_bsil_step(learner, features, labels):
+    """Full-dimension oracle of one BSIL step: gradient descent on the
+    weight rows in feature space, from the learner's state before the step.
+    Returns the weight rows in class-id order and the scale."""
+    weights = dict(learner.weights)
+    counts = dict(learner.counts)
+    old_ids = sorted(weights)
+    for c in np.unique(labels):
+        mean = features[labels == c].mean(axis=0)
+        weights[int(c)] = mean / np.linalg.norm(mean)
+        counts[int(c)] = int(np.sum(labels == c))
+    ids = sorted(weights)
+    w = np.stack([weights[c] for c in ids])
+    count_vec = np.array([counts[c] for c in ids], dtype=float)
+    anchored = np.isin(ids, old_ids)
+    snapshot = w.copy()
+    unit_x = features / np.linalg.norm(features, axis=1, keepdims=True)
+    class_idx = np.searchsorted(ids, labels)
+    scale, lr, strength = learner.scale, learner.lr, learner.anchor_strength
+    for _ in range(learner.epochs):
+        _, grad_w, grad_s = _cosine_softmax_loss(w, scale, unit_x, class_idx, count_vec)
+        w -= lr * grad_w
+        scale = max(scale - lr * grad_s, 1e-3)
+        if strength > 0:
+            w[anchored] = snapshot[anchored] + (w[anchored] - snapshot[anchored]) / (
+                1 + 2 * lr * strength
+            )
+    return w, scale
+
+
+# step 2 trains 12 rows and 6 classes: 32 > 18 makes the frame an 18-d
+# subspace, 8 < 18 a rotation of the whole space
+@pytest.mark.parametrize("dim", [8, 32])
+@pytest.mark.parametrize("strength", [0.0, 0.1])
+def test_bsil_matches_full_dimension_oracle(dim, strength):
+    ds = synth_features(SynthSpec(n_classes=6, dim=dim, n_train=4, n_test=2, separation=3.0, seed=dim))
+    sc = Scenario(kind="equal", steps=((0, 1, 2), (3, 4, 5)))
+    learner = BSILLite(lr=0.1, epochs=100, anchor_strength=strength)
+    for view in partition_dataset(ds, sc):
+        x, y = view.train_features, view.train_labels
+        ref_w, ref_scale = reference_bsil_step(learner, x, y)
+        learner.learn_step(x, y)
+        w = np.stack([learner.weights[int(c)] for c in learner.known_classes])
+        assert np.max(np.abs(w - ref_w)) <= 1e-10 * np.max(np.abs(ref_w))
+        assert abs(learner.scale - ref_scale) <= 1e-10 * ref_scale
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
