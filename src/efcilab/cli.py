@@ -33,6 +33,16 @@ EXIT_PARTIAL = 2
 EXIT_INFEASIBLE = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _load_config_arg(args) -> GridConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
@@ -167,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_grid)
     p_grid.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="worker processes (default: logical cores)",
     )

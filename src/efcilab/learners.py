@@ -16,14 +16,15 @@ the current step's training data):
   stand-in for fine-tuning-based methods.
 * ``NearestClassMean`` — running class means, nearest-mean prediction.
 
-The two gradient-descent heads train in span coordinates. Each update of
-a weight row adds a combination of the step's rows and a multiple of the
-row itself, so the rows stay in the span of the step's rows (with the
-imprints and old weights, for BSIL). One QR per step gives an
-orthonormal frame of that span; the epochs run on ``min(rows, dim)``
-coordinates and the weights map back at the end. Orthonormal
-coordinates keep inner products, norms and cosines, so the descent is the
-full-space one up to float rounding.
+The two gradient-descent heads train dual coefficients. Each update of
+a weight row adds a combination of the step's basis rows (the rows it
+trains on, plus the imprints and old weights for BSIL) and a multiple of
+the row itself, so the weights stay ``coef.T @ basis`` and the epochs
+update ``coef`` alone. The inner products of the basis rows with the
+weights come from one product per epoch: through the Gram matrix of the
+basis rows when there are at most twice as many rows as dimensions,
+through the weights otherwise. The weights map back once, at the end;
+the descent is the weight-space one up to float rounding.
 
 Ties in every argmax go to the lowest class id.
 """
@@ -229,6 +230,27 @@ class NearestClassMean:
 
 
 # ---------------------------------------------------------------------------
+# Dual coefficients of the gradient-descent heads
+
+
+def _inner_products(basis: np.ndarray):
+    """The map from coefficients ``coef`` (``k x C``) to the inner products
+    ``basis @ (coef.T @ basis).T`` of the ``k`` basis rows with the weight
+    rows they combine to.
+
+    One product per call, whichever is cheaper from the shapes: the Gram
+    matrix of the basis rows, formed once, costs ``k * k * C`` a call and a
+    ``k x k`` array, going through the weights ``2 * k * dim * C``. So the
+    Gram order serves ``k <= 2 * dim``, the weights order taller bases.
+    """
+    k, dim = basis.shape
+    if k <= 2 * dim:
+        gram = basis @ basis.T
+        return lambda coef: gram @ coef
+    return lambda coef: basis @ (basis.T @ coef)
+
+
+# ---------------------------------------------------------------------------
 # FeTrIL-style pseudo-feature head
 
 
@@ -279,17 +301,17 @@ def fit_softmax_head(
     (weights, biases).
 
     The weights start at zero and every step adds ``grad.T @ basis`` and a
-    multiple of themselves, so they never leave the span of the basis
-    rows. The epochs therefore run in the coordinates of an orthonormal
-    frame of that span (``r = min(m + J, dim)`` wide): inner products and
-    weight decay are the same there, and the weights map back to the
-    feature space once at the end.
+    multiple of themselves, so they stay ``coef.T @ basis``. The epochs
+    update the ``(m + J) x C`` coefficients ``coef`` instead,
+    ``coef -= lr * (grad + weight_decay * coef)``, and need the basis
+    rows' inner products with the weights, ``u`` and ``v``, from one
+    product (see ``_inner_products``). The weights map back once at the
+    end.
     """
     n = len(rows)
     m = len(features)
-    frame, coords = np.linalg.qr(np.concatenate([features, shifts]).T)
-    # the basis rows in frame coordinates, row-major: a transposed view slows every epoch
-    basis = np.ascontiguousarray(coords.T)
+    basis = np.concatenate([features, shifts])
+    inner_products = _inner_products(basis)
     pairs = np.zeros((m, len(shifts)))
     np.add.at(pairs, (rows, shift_of), 1.0)
     used = pairs > 0
@@ -299,10 +321,10 @@ def fit_softmax_head(
     np.add.at(counts, (np.concatenate([rows, m + shift_of]), np.tile(class_idx, 2)), 1.0)
     ratio = np.zeros_like(pairs)
 
-    weights = np.zeros((n_classes, basis.shape[1]))
+    coef = np.zeros((len(basis), n_classes))
     biases = np.zeros(n_classes)
     for _ in range(epochs):
-        grad = basis @ weights.T
+        grad = inner_products(coef)
         grad[:m] += biases
         grad -= grad.max(axis=1, keepdims=True)
         np.exp(grad, out=grad)
@@ -322,9 +344,9 @@ def fit_softmax_head(
         ev *= to_v
         grad -= counts
         grad /= n
-        weights -= lr * (grad.T @ basis + weight_decay * weights)
+        coef -= lr * (grad + weight_decay * coef)
         biases -= lr * grad[:m].sum(axis=0)
-    return weights @ frame.T, biases
+    return coef.T @ basis, biases
 
 
 class FeTrILLite:
@@ -423,37 +445,46 @@ def _anchor_prox(
 
 
 def _cosine_softmax_loss(
-    weights: np.ndarray,
+    coef: np.ndarray,
     scale: float,
-    unit_x: np.ndarray,
+    inner_products,
     class_idx: np.ndarray,
-    class_counts: np.ndarray,
+    log_counts: np.ndarray,
 ) -> tuple[float, np.ndarray, float]:
-    """Balanced-softmax cross-entropy of a cosine head on unit-norm rows.
+    """Balanced-softmax cross-entropy of a cosine head in dual coefficients.
 
-    Logits are ``scale * cos(weights_c, x)`` offset by ``log(count_c)``
-    inside the softmax. Returns ``(loss, d loss / d weights, d loss / d scale)``.
+    The weight rows are ``coef.T @ basis``, and the training rows are the
+    first ``len(class_idx)`` basis rows, of unit norm; ``inner_products``
+    maps ``coef`` to the basis rows' inner products with the weight rows
+    (see ``_inner_products``). Logits are ``scale * cos(w_c, x)`` offset
+    by ``log_counts[c]`` inside the softmax. Returns ``(loss, grad_coef,
+    d loss / d scale)``, where ``grad_coef.T @ basis`` is the gradient in
+    the weights.
     """
-    n = unit_x.shape[0]
-    unit_w, w_norms = _unit_rows(weights)
-    cosines = unit_x @ unit_w.T  # (n, C)
-    logits = scale * cosines + np.log(class_counts)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(expz.sum(axis=1, keepdims=True))
-    ce = -log_probs[np.arange(n), class_idx].mean()
+    n = len(class_idx)
+    inner = inner_products(coef)  # (k, C)
+    # ||w_c||^2 = coef_c . (gram @ coef_c); rounding may take a zero norm below 0
+    norms = np.sqrt(np.maximum(np.einsum("kc,kc->c", coef, inner), 0.0))
+    norms[norms == 0] = 1.0
+    cosines = inner[:n] / norms
+    logits = scale * cosines + log_counts
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    totals = probs.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    ce = np.mean(np.log(totals[:, 0]) - logits[rows, class_idx])
 
-    grad_logits = probs.copy()
-    grad_logits[np.arange(n), class_idx] -= 1.0
+    grad_logits = probs
+    grad_logits /= totals
+    grad_logits[rows, class_idx] -= 1.0
     grad_logits /= n
 
-    # d cos/d w_c = (x_hat - (u_c . x_hat) u_c) / ||w_c||
-    weighted_x = unit_x.T @ grad_logits  # (d, C)
-    diag_coef = np.sum(grad_logits * cosines, axis=0)  # (C,)
-    grad_w = scale * (weighted_x.T - diag_coef[:, None] * unit_w) / w_norms[:, None]
-    grad_scale = float(np.sum(grad_logits * cosines))
-    return float(ce), grad_w, grad_scale
+    # d cos/d w_c = (x_hat - cos * w_c / ||w_c||) / ||w_c||: the x_hat part
+    # lands on the training rows' coefficients, the rest on w_c's own
+    diag_coef = np.einsum("nc,nc->c", grad_logits, cosines)
+    grad_coef = coef * (-scale * diag_coef / norms**2)
+    grad_coef[:n] += grad_logits * (scale / norms)
+    return float(ce), grad_coef, float(diag_coef.sum())
 
 
 class BSILLite:
@@ -510,33 +541,35 @@ class BSILLite:
         anchor_mask = np.isin(all_ids, old_ids)
         class_idx = np.searchsorted(all_ids, labels)
         unit_x, _ = _unit_rows(features)
-        # every update keeps each weight row in the span of the unit rows, the
-        # imprints (class means of those rows) and the old weights, so train in
-        # the coordinates of an orthonormal frame of that span
-        frame, coords = np.linalg.qr(np.concatenate([unit_x, weight_mat]).T)
-        n = len(unit_x)
-        coords = np.ascontiguousarray(coords.T)  # row-major, as for the FeTrIL head
-        unit_x, weight_mat = coords[:n], coords[n:]
-        snapshot = weight_mat.copy()
+        # every update of a weight row adds multiples of the unit rows and of
+        # the row itself, and the anchor pulls it toward its snapshot, so the
+        # rows stay combinations of the unit rows, the imprints and the old
+        # weights: train their coefficients over those basis rows
+        basis = np.concatenate([unit_x, weight_mat])
+        inner_products = _inner_products(basis)
+        coef = np.zeros((len(basis), len(all_ids)))
+        coef[len(unit_x):] = np.eye(len(all_ids))
+        snapshot = coef[:, anchor_mask]
+        log_counts = np.log(count_vec)
 
         for _ in range(self.epochs):
             # gradient step on the data term alone; the quadratic anchor is
             # applied below as an exact proximal step, stable for any strength
             loss, grad_data, grad_scale = _cosine_softmax_loss(
-                weight_mat, self.scale, unit_x, class_idx, count_vec
+                coef, self.scale, inner_products, class_idx, log_counts
             )
             if not math.isfinite(loss):
                 raise LearnerError(
                     f"non-finite loss at incremental step {self.steps_seen} (lr={self.lr})"
                 )
-            weight_mat -= self.lr * grad_data
+            coef -= self.lr * grad_data
             self.scale = max(self.scale - self.lr * grad_scale, 1e-3)
             if self.anchor_strength > 0:
-                weight_mat[anchor_mask] = _anchor_prox(
-                    weight_mat[anchor_mask], snapshot[anchor_mask], self.lr, self.anchor_strength
+                coef[:, anchor_mask] = _anchor_prox(
+                    coef[:, anchor_mask], snapshot, self.lr, self.anchor_strength
                 )
 
-        for c, row in zip(all_ids, weight_mat @ frame.T):
+        for c, row in zip(all_ids, coef.T @ basis):
             self.weights[int(c)] = row
 
     def predict(self, features: np.ndarray) -> np.ndarray:

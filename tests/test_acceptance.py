@@ -22,6 +22,7 @@ from efcilab.learners import (
     AccuracyMatrix,
     StreamingLDA,
     _cosine_softmax_loss,
+    _inner_products,
     _unit_rows,
 )
 from efcilab.metrics import avg_forgetting, avg_incremental_accuracy
@@ -318,45 +319,54 @@ def test_criterion_06_dslda_streaming_equals_batch():
 def test_criterion_07_balanced_softmax_gradient_check():
     rng = np.random.default_rng(1007)
     worst_rel = 0.0
-    for _ in range(10):
+    for trial in range(10):
         n_classes = int(rng.integers(3, 7))
-        dim = int(rng.integers(3, 9))
+        # 9 to 24 basis rows: odd trials take them through the Gram matrix,
+        # even trials through the weights
+        dim = int(rng.integers(12, 16)) if trial % 2 else int(rng.integers(3, 5))
         n = int(rng.integers(6, 18))
-        weights = rng.standard_normal((n_classes, dim)) * 1.5 + 0.2
-        scale = float(rng.uniform(1.5, 10.0))
         unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
+        basis = np.concatenate([unit_x, rng.standard_normal((n_classes, dim)) * 1.5 + 0.2])
+        coef = rng.standard_normal((len(basis), n_classes)) * 0.3
+        coef[n:] += np.eye(n_classes)
+        scale = float(rng.uniform(1.5, 10.0))
         class_idx = rng.integers(0, n_classes, n)
-        counts = rng.integers(1, 30, n_classes).astype(float)
-        args = (unit_x, class_idx, counts)
-        _, grad_w, grad_s = _cosine_softmax_loss(weights, scale, *args)
+        log_counts = np.log(rng.integers(1, 30, n_classes).astype(float))
+        args = (_inner_products(basis), class_idx, log_counts)
+        _, grad_coef, grad_s = _cosine_softmax_loss(coef, scale, *args)
+        grad_w = grad_coef.T @ basis
 
+        # central differences along random coefficient directions against
+        # the weight-space gradient paired with each direction's weight move
         h = 1e-6
-        num_w = np.zeros_like(weights)
-        for i in range(n_classes):
-            for j in range(dim):
-                up, down = weights.copy(), weights.copy()
-                up[i, j] += h
-                down[i, j] -= h
-                num_w[i, j] = (
-                    _cosine_softmax_loss(up, scale, *args)[0]
-                    - _cosine_softmax_loss(down, scale, *args)[0]
-                ) / (2 * h)
+        numeric, analytic = [], []
+        for _ in range(2 * coef.size):
+            delta = rng.standard_normal(coef.shape)
+            numeric.append(
+                (
+                    _cosine_softmax_loss(coef + h * delta, scale, *args)[0]
+                    - _cosine_softmax_loss(coef - h * delta, scale, *args)[0]
+                )
+                / (2 * h)
+            )
+            analytic.append(float(np.sum(grad_w * (delta.T @ basis))))
+        numeric, analytic = np.array(numeric), np.array(analytic)
         num_s = (
-            _cosine_softmax_loss(weights, scale + h, *args)[0]
-            - _cosine_softmax_loss(weights, scale - h, *args)[0]
+            _cosine_softmax_loss(coef, scale + h, *args)[0]
+            - _cosine_softmax_loss(coef, scale - h, *args)[0]
         ) / (2 * h)
-        denom = max(float(np.max(np.abs(num_w))), 1e-9)
         worst_rel = max(
             worst_rel,
-            float(np.max(np.abs(grad_w - num_w))) / denom,
+            float(np.max(np.abs(analytic - numeric))) / max(float(np.max(np.abs(numeric))), 1e-9),
             abs(grad_s - num_s) / max(abs(num_s), 1e-9),
         )
 
-    weights = rng.standard_normal((4, 5)) + 0.4
     unit_x, _ = _unit_rows(rng.standard_normal((9, 5)))
-    class_idx = rng.integers(0, 4, 9)
-    balanced = _cosine_softmax_loss(weights, 3.0, unit_x, class_idx, np.full(4, 21.0))[0]
-    plain = _cosine_softmax_loss(weights, 3.0, unit_x, class_idx, np.ones(4))[0]
+    basis = np.concatenate([unit_x, rng.standard_normal((4, 5)) + 0.4])
+    coef = np.vstack([np.zeros((9, 4)), np.eye(4)])
+    args = (_inner_products(basis), rng.integers(0, 4, 9))
+    balanced = _cosine_softmax_loss(coef, 3.0, *args, np.log(np.full(4, 21.0)))[0]
+    plain = _cosine_softmax_loss(coef, 3.0, *args, np.zeros(4))[0]
     equal_counts_ok = abs(balanced - plain) <= 1e-12
 
     _verdict(
@@ -423,7 +433,9 @@ def test_criterion_10_byte_identical_rerun(default_grid, tmp_path_factory):
     cfg, table, _ = default_grid
     base = tmp_path_factory.mktemp("determinism")
     first = write_results(table, base / "run1")
-    second_table = run_grid(cfg, jobs=1)
+    # the rerun goes through the process pool, so this also checks that
+    # --jobs leaves the results unchanged
+    second_table = run_grid(cfg, jobs=2)
     second = write_results(second_table, base / "run2")
     results_identical = first.read_bytes() == second.read_bytes()
 
@@ -437,7 +449,7 @@ def test_criterion_10_byte_identical_rerun(default_grid, tmp_path_factory):
 
     _verdict(
         10,
-        "rerunning the grid and the analysis reproduces byte-identical results and reports",
+        "rerunning the grid (at jobs=2) and the analysis reproduces byte-identical results and reports",
         results_identical and reports_identical,
     )
 

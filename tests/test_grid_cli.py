@@ -333,6 +333,15 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert main(["grid", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_grid_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"--jobs: expected an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_single_cell(tmp_path, capsys):
     cfg_path = write_toy_config(tmp_path)
     code = main([

@@ -17,6 +17,7 @@ from efcilab.learners import (
     StreamingLDA,
     _anchor_prox,
     _cosine_softmax_loss,
+    _inner_products,
     _unit_rows,
     argmax_by_class,
     fit_softmax_head,
@@ -240,6 +241,9 @@ def factored_problem(rng, dim, case):
     return features, np.concatenate(rows), shifts, shift_of, class_idx, n_past + 3
 
 
+# basis rows (real rows plus offsets): 16 for first_step, 17 to 21 for the
+# others. At dim 8 first_step takes the Gram order (16 <= 16) and the
+# others the weights order; at dim 256 every case takes the Gram order
 @pytest.mark.parametrize("dim", [8, 256])
 @pytest.mark.parametrize("case", list(HEAD_CASES))
 def test_factored_head_matches_materialising_oracle(dim, case):
@@ -279,6 +283,32 @@ def test_head_epochs_allocate_no_training_row_array():
     assert peak < len(rows) * n_classes * 8  # one float64 logit array over the rows
 
 
+def test_tall_fetril_step_allocates_no_gram_matrix():
+    # 2,000 real rows and 3 offsets in 8 dimensions: a Gram matrix of the
+    # 2,003 basis rows would take 32 MB, the weights order a few kB an epoch
+    rng = np.random.default_rng(5)
+    learner = FeTrILLite(epochs=3)
+    learner.learn_step(rng.normal(0, 1, (6, 8)), np.repeat([0, 1], 3))
+    features, labels = rng.normal(0, 1, (2000, 8)), np.repeat([2, 3], 1000)
+    tracemalloc.start()
+    try:
+        learner.learn_step(features, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2003**2 * 8 / 4  # a quarter of that Gram matrix
+
+
+# 6 rows (7 basis rows) take the Gram order, 40 rows (41) the weights order
+@pytest.mark.parametrize("n_rows", [6, 40])
+def test_fetril_nan_feature_raises(n_rows):
+    features = np.random.default_rng(6).normal(0, 1, (n_rows, 8))
+    features[1, 3] = np.nan
+    labels = np.arange(n_rows) % 2
+    with np.errstate(invalid="ignore"), pytest.raises(LearnerError, match="not finite"):
+        FeTrILLite(epochs=3).learn_step(features, labels)
+
+
 def test_head_unused_pair_contributes_zero_where_its_normaliser_underflows():
     # after one epoch real row 0 favours class 0 and offset 1 favours class
     # 2, each by 1e7 logits or more: the normaliser of the pair (0, 1)
@@ -303,6 +333,8 @@ def test_head_rejects_an_underflowed_normaliser():
         )
 
 
+# 20 real rows and 1 to 5 offsets per step: the weights order at dim 8, the
+# Gram order at dim 256
 @pytest.mark.parametrize("dim", [8, 256])
 def test_fetril_head_receives_real_rows_and_one_offset_per_past_class(monkeypatch, dim):
     ds = synth_features(SynthSpec(n_classes=6, dim=dim, n_train=10, n_test=5, separation=4.0, seed=3))
@@ -380,47 +412,97 @@ def test_fetril_rejects_repeated_class():
 # BSIL-style head
 
 
-def random_loss_config(rng):
+def weight_space_loss(weights, scale, unit_x, class_idx, class_counts):
+    """Weight-space oracle of ``_cosine_softmax_loss``: the balanced-softmax
+    cross-entropy of a cosine head on unit-norm rows, with logits
+    ``scale * cos(weights_c, x)`` offset by ``log(count_c)`` inside the
+    softmax. Returns ``(loss, d loss / d weights, d loss / d scale)``."""
+    n = unit_x.shape[0]
+    unit_w, w_norms = _unit_rows(weights)
+    cosines = unit_x @ unit_w.T  # (n, C)
+    logits = scale * cosines + np.log(class_counts)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    probs = expz / expz.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(expz.sum(axis=1, keepdims=True))
+    ce = -log_probs[np.arange(n), class_idx].mean()
+
+    grad_logits = probs.copy()
+    grad_logits[np.arange(n), class_idx] -= 1.0
+    grad_logits /= n
+
+    # d cos/d w_c = (x_hat - (u_c . x_hat) u_c) / ||w_c||
+    weighted_x = unit_x.T @ grad_logits  # (d, C)
+    diag_coef = np.sum(grad_logits * cosines, axis=0)  # (C,)
+    grad_w = scale * (weighted_x.T - diag_coef[:, None] * unit_w) / w_norms[:, None]
+    grad_scale = float(np.sum(grad_logits * cosines))
+    return float(ce), grad_w, grad_scale
+
+
+def random_loss_config(rng, dim):
+    """A BSIL-shaped loss: ``n`` unit rows then one imprint-like row per
+    class as the basis, and coefficients that start from ``[0 | I]`` and
+    have moved."""
     n_classes = int(rng.integers(3, 7))
-    dim = int(rng.integers(3, 9))
     n = int(rng.integers(5, 20))
-    weights = rng.standard_normal((n_classes, dim)) * 1.5 + 0.3
-    scale = float(rng.uniform(1.0, 12.0))
     unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
+    basis = np.concatenate([unit_x, rng.standard_normal((n_classes, dim)) * 1.5 + 0.3])
+    coef = rng.standard_normal((len(basis), n_classes)) * 0.3
+    coef[n:] += np.eye(n_classes)
+    scale = float(rng.uniform(1.0, 12.0))
     class_idx = rng.integers(0, n_classes, n)
     counts = rng.integers(1, 40, n_classes).astype(float)
-    return weights, scale, unit_x, class_idx, counts
+    return coef, scale, basis, class_idx, counts
 
 
-def numerical_gradients(args, h=1e-6):
-    weights, scale = args[0], args[1]
-    rest = args[2:]
-    grad_w = np.zeros_like(weights)
-    for i in range(weights.shape[0]):
-        for j in range(weights.shape[1]):
-            up, down = weights.copy(), weights.copy()
-            up[i, j] += h
-            down[i, j] -= h
-            grad_w[i, j] = (
-                _cosine_softmax_loss(up, scale, *rest)[0]
-                - _cosine_softmax_loss(down, scale, *rest)[0]
-            ) / (2 * h)
-    grad_s = (
-        _cosine_softmax_loss(weights, scale + h, *rest)[0]
-        - _cosine_softmax_loss(weights, scale - h, *rest)[0]
-    ) / (2 * h)
-    return grad_w, grad_s
+def coefficient_loss(coef, scale, basis, class_idx, counts):
+    return _cosine_softmax_loss(coef, scale, _inner_products(basis), class_idx, np.log(counts))
 
 
 def test_balanced_softmax_gradient_matches_finite_differences():
     rng = np.random.default_rng(123)
-    for _ in range(10):
-        args = random_loss_config(rng)
-        _, grad_w, grad_s = _cosine_softmax_loss(*args)
-        num_w, num_s = numerical_gradients(args)
-        denom = max(np.max(np.abs(num_w)), 1e-9)
-        assert np.max(np.abs(grad_w - num_w)) / denom <= 1e-4
+    h = 1e-6
+    # 8 to 25 basis rows: dim 3 takes every config through the weights,
+    # dim 16 through the Gram matrix
+    for dim in [3, 16] * 5:
+        coef, scale, basis, class_idx, counts = random_loss_config(rng, dim)
+        _, grad_coef, grad_s = coefficient_loss(coef, scale, basis, class_idx, counts)
+        grad_w = grad_coef.T @ basis
+        # along a coefficient direction delta the loss moves by
+        # <grad_w, delta.T @ basis> per unit step
+        numeric, analytic = [], []
+        for _ in range(2 * coef.size):
+            delta = rng.standard_normal(coef.shape)
+            numeric.append(
+                (
+                    coefficient_loss(coef + h * delta, scale, basis, class_idx, counts)[0]
+                    - coefficient_loss(coef - h * delta, scale, basis, class_idx, counts)[0]
+                )
+                / (2 * h)
+            )
+            analytic.append(np.sum(grad_w * (delta.T @ basis)))
+        numeric, analytic = np.array(numeric), np.array(analytic)
+        assert np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-9) <= 1e-4
+        num_s = (
+            coefficient_loss(coef, scale + h, basis, class_idx, counts)[0]
+            - coefficient_loss(coef, scale - h, basis, class_idx, counts)[0]
+        ) / (2 * h)
         assert abs(grad_s - num_s) / max(abs(num_s), 1e-9) <= 1e-4
+
+
+@pytest.mark.parametrize("dim", [3, 16])  # weights order, Gram order
+def test_coefficient_loss_matches_weight_space_loss(dim):
+    rng = np.random.default_rng(7 + dim)
+    for _ in range(10):
+        coef, scale, basis, class_idx, counts = random_loss_config(rng, dim)
+        loss, grad_coef, grad_s = coefficient_loss(coef, scale, basis, class_idx, counts)
+        n = len(class_idx)
+        ref_loss, ref_w, ref_s = weight_space_loss(
+            coef.T @ basis, scale, basis[:n], class_idx, counts
+        )
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.max(np.abs(grad_coef.T @ basis - ref_w)) <= 1e-12 * np.max(np.abs(ref_w))
+        assert abs(grad_s - ref_s) <= 1e-12 * max(abs(ref_s), 1e-9)
 
 
 def test_anchor_prox_minimises_its_objective():
@@ -444,11 +526,11 @@ def test_anchor_prox_minimises_its_objective():
 
 def test_equal_counts_reduce_to_plain_softmax():
     rng = np.random.default_rng(4)
-    weights, scale, unit_x, class_idx, _ = random_loss_config(rng)
-    counts_equal = np.full(weights.shape[0], 17.0)
-    counts_one = np.ones(weights.shape[0])
-    balanced = _cosine_softmax_loss(weights, scale, unit_x, class_idx, counts_equal)[0]
-    plain = _cosine_softmax_loss(weights, scale, unit_x, class_idx, counts_one)[0]
+    coef, scale, basis, class_idx, _ = random_loss_config(rng, 8)
+    counts_equal = np.full(coef.shape[1], 17.0)
+    counts_one = np.ones(coef.shape[1])
+    balanced = coefficient_loss(coef, scale, basis, class_idx, counts_equal)[0]
+    plain = coefficient_loss(coef, scale, basis, class_idx, counts_one)[0]
     assert abs(balanced - plain) <= 1e-12
 
 
@@ -461,7 +543,8 @@ def reference_bsil_step(learner, features, labels):
     old_ids = sorted(weights)
     for c in np.unique(labels):
         mean = features[labels == c].mean(axis=0)
-        weights[int(c)] = mean / np.linalg.norm(mean)
+        norm = np.linalg.norm(mean)
+        weights[int(c)] = mean / norm if norm > 0 else mean
         counts[int(c)] = int(np.sum(labels == c))
     ids = sorted(weights)
     w = np.stack([weights[c] for c in ids])
@@ -472,7 +555,7 @@ def reference_bsil_step(learner, features, labels):
     class_idx = np.searchsorted(ids, labels)
     scale, lr, strength = learner.scale, learner.lr, learner.anchor_strength
     for _ in range(learner.epochs):
-        _, grad_w, grad_s = _cosine_softmax_loss(w, scale, unit_x, class_idx, count_vec)
+        _, grad_w, grad_s = weight_space_loss(w, scale, unit_x, class_idx, count_vec)
         w -= lr * grad_w
         scale = max(scale - lr * grad_s, 1e-3)
         if strength > 0:
@@ -482,8 +565,9 @@ def reference_bsil_step(learner, features, labels):
     return w, scale
 
 
-# step 2 trains 12 rows and 6 classes: 32 > 18 makes the frame an 18-d
-# subspace, 8 < 18 a rotation of the whole space
+# basis rows: 12 unit rows plus 3 classes at step 1 (15), plus 6 at step 2
+# (18). At dim 8 step 1 takes the Gram order (15 <= 16) and step 2 the
+# weights order (18 > 16); at dim 32 both take the Gram order
 @pytest.mark.parametrize("dim", [8, 32])
 @pytest.mark.parametrize("strength", [0.0, 0.1])
 def test_bsil_matches_full_dimension_oracle(dim, strength):
@@ -497,6 +581,24 @@ def test_bsil_matches_full_dimension_oracle(dim, strength):
         w = np.stack([learner.weights[int(c)] for c in learner.known_classes])
         assert np.max(np.abs(w - ref_w)) <= 1e-10 * np.max(np.abs(ref_w))
         assert abs(learner.scale - ref_scale) <= 1e-10 * ref_scale
+
+
+# 6 rows and 3 classes make 9 basis rows: the weights order at dim 4, the
+# Gram order at dim 16
+@pytest.mark.parametrize("dim", [4, 16])
+def test_bsil_zero_mean_class_trains_from_a_zero_weight_row(dim):
+    # class 0's rows cancel, so its imprint is the zero row, whose cosine
+    # the zero-norm rule sets to 0 in the first epoch
+    rng = np.random.default_rng(dim)
+    row = rng.normal(0, 1, dim)
+    features = np.vstack([row, -row, rng.normal(2, 1, (4, dim))])
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    learner = BSILLite(lr=0.1, epochs=20)
+    ref_w, ref_scale = reference_bsil_step(learner, features, labels)
+    learner.learn_step(features, labels)
+    w = np.stack([learner.weights[c] for c in (0, 1, 2)])
+    assert np.max(np.abs(w - ref_w)) <= 1e-10 * np.max(np.abs(ref_w))
+    assert abs(learner.scale - ref_scale) <= 1e-10 * ref_scale
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
