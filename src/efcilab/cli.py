@@ -202,8 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error status 2 means a partial grid here
+        raise SystemExit(EXIT_USAGE if exc.code == 2 else exc.code) from None
     try:
         return args.func(args)
     except AnalysisError as exc:

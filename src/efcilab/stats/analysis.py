@@ -2,13 +2,13 @@
 
 ANOVA uses Type-II sums of squares (each variable judged against the
 model holding every term that does not contain it), which makes the
-table invariant to term declaration order. Pairwise comparisons read
-every level pair from one fit's coefficients and covariance and gate
-significance with a Bonferroni-corrected threshold over unordered pairs.
-Every function takes one ``RecordTable`` and fits through ``fit_model``,
-the table's fit memo: each distinct model is fitted once per table, and
-its fits are shared, so callers must not modify them. ANOVA encodes the
-nested models it compares to form their fitted values.
+table invariant to term declaration order; each is read off the
+coefficients and R factor of one fit, the model that adds the term.
+Pairwise comparisons read every level pair from one fit's coefficients
+and covariance and gate significance with a Bonferroni-corrected
+threshold over unordered pairs. Every function takes one ``RecordTable``
+and fits through ``fit_model``, the table's fit memo: each distinct model
+is fitted once per table and shared, so callers must not modify its fits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .design import DesignError, Formula, RecordTable, encode_design, parse_formula
 from .distributions import f_pvalue
 from .linalg import RankDeficientError
-from .regression import RegressionFit, ols_fit
+from .regression import RegressionFit, exact_fit_tolerance, ols_fit
 
 
 def fit_model(
@@ -88,53 +88,41 @@ class AnovaTable:
         raise KeyError(f"no ANOVA row for {variable!r}")
 
 
-def _term_contains(term: str, variable: str) -> bool:
-    return variable in term.split(":")
-
-
-def _fit_terms(
-    table: RecordTable, formula: Formula, terms, refs, context: str
-) -> tuple[Formula, RegressionFit]:
-    """``formula`` cut down to ``terms`` (kept in formula order), and its fit."""
-    nested = Formula(formula.response, tuple(t for t in formula.terms if t in terms))
-    try:
-        return nested, fit_model(table, nested, refs)
-    except RankDeficientError as exc:
-        raise DesignError(f"{context}: {exc}") from None
-
-
 def anova_partial_eta2(
     table: RecordTable,
     formula: Formula | str,
     reference_levels: dict[str, str] | None = None,
 ) -> AnovaTable:
-    """Type-II ANOVA with partial eta squared per variable."""
+    """Type-II ANOVA with partial eta squared per variable.
+
+    By the Frisch-Waugh-Lovell theorem a term's sum of squares is ``||R_T b||^2``
+    in the fit that adds it: ``b`` its coefficients, ``R_T`` the trailing block of
+    that fit's R refactored with the term's columns last. Nothing is inverted.
+    """
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    _, full_fit = _fit_terms(
-        table, formula, formula.terms, reference_levels, f"full model {formula}"
-    )
+    try:
+        full_fit = fit_model(table, formula, reference_levels)
+    except RankDeficientError as exc:
+        raise DesignError(f"full model {formula}: {exc}") from None
     ss_res = full_fit.ssr
     df_res = full_fit.df_resid
+    exact = exact_fit_tolerance(table.columns[formula.response])
 
     rows: list[AnovaRow] = []
     for term in formula.terms:
-        base_terms = [t for t in formula.terms if t != term and not _term_contains(t, term)]
-        base_model, base = _fit_terms(
-            table, formula, base_terms, reference_levels, f"model without {term!r}"
-        )
-        # when no other term contains ``term`` this is the full model, fitted once
-        with_model, with_term = _fit_terms(
-            table, formula, base_terms + [term], reference_levels, f"model testing {term!r}"
-        )
-        # nested models: SSR_base - SSR_with = ||fitted_with - fitted_base||^2, formed
-        # without cancellation; an exactly fitting base model leaves nothing to add
-        gap = (
-            encode_design(table, with_model, reference_levels).x @ with_term.beta
-            - encode_design(table, base_model, reference_levels).x @ base.beta
-        )
-        sum_sq = float(gap @ gap) if base.ssr > 0 else 0.0
-        df = with_term.n_params - base.n_params
+        # the "with" model's columns are some of the full model's, so it is fittable;
+        # for an additive formula it is the full model, fitted once
+        with_terms = tuple(t for t in formula.terms if t == term or term not in t.split(":"))
+        fit = fit_model(table, Formula(formula.response, with_terms), reference_levels)
+        cols = fit.term_columns[term]
+        rest = [i for i in range(fit.n_params) if i not in cols]
+        r_t = np.linalg.qr(fit.r[:, rest + cols], mode="r")[-len(cols):, -len(cols):]
+        z = r_t @ fit.beta[cols]
+        sum_sq = float(z @ z)
+        if fit.ssr + sum_sq <= exact:
+            sum_sq = 0.0  # the model without ``term`` fits exactly: nothing is left to add
+        df = len(cols)
         if ss_res > 0:
             f_stat = (sum_sq / df) / (ss_res / df_res)
             p_val = f_pvalue(f_stat, df, df_res)
@@ -314,8 +302,7 @@ def pairwise_comparison(
         # rows pick each level's coefficient; the reference level (the first, as refs
         # leaves ``variable`` out) has none and its row stays zero
         pick = np.zeros((n_levels, fit.n_params))
-        for i, level in enumerate(levels[1:], start=1):
-            pick[i, fit.column_labels.index(f"{variable}[{level}]")] = 1.0
+        pick[np.arange(1, n_levels), fit.term_columns[variable]] = 1.0
         beta = pick @ fit.beta
         cov = pick @ fit.cov_unscaled @ pick.T
         var = np.diag(cov)[:, None] + np.diag(cov)[None, :] - 2.0 * cov

@@ -24,10 +24,12 @@ class RegressionFit:
 
     formula: str
     column_labels: list[str]
+    term_columns: dict[str, list[int]]  # term -> its indices into beta ("intercept" -> [0])
     beta: np.ndarray
     se: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
+    r: np.ndarray  # R of the design's thin QR (X = QR), so X^T X = R^T R
     cov_unscaled: np.ndarray  # (X^T X)^{-1}; sigma2 times it is the coefficient covariance
     n_obs: int
     n_params: int
@@ -68,6 +70,12 @@ class RegressionFit:
         return (math.copysign(math.inf, estimate) if big else 0.0), (0.0 if big else 1.0)
 
 
+def exact_fit_tolerance(y: np.ndarray) -> float:
+    """Residual sum of squares at or below which a fit of ``y`` counts as exact."""
+    sst = float(np.sum((y - y.mean()) ** 2))
+    return 1e-24 * max(sst, float(y @ y), 1e-300)
+
+
 def ols_fit(design: DesignMatrix) -> RegressionFit:
     """Fit by QR; raise naming the columns that depend on earlier ones."""
     x, y = design.x, design.y
@@ -87,7 +95,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
     residuals = y - x @ beta
     ssr = float(residuals @ residuals)
     sst = float(np.sum((y - y.mean()) ** 2))
-    if ssr <= 1e-24 * max(sst, float(y @ y), 1e-300):
+    if ssr <= exact_fit_tolerance(y):
         ssr = 0.0  # numerically exact fit: keep the degenerate case consistent
     df_resid = n - p
     sigma2 = ssr / df_resid
@@ -115,10 +123,12 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
     fit = RegressionFit(
         formula=str(design.formula),
         column_labels=list(design.column_labels),
+        term_columns=dict(design.term_columns),
         beta=beta,
         se=se,
         t_stats=np.empty(p),
         p_values=np.empty(p),
+        r=qrf.r,
         cov_unscaled=cov_unscaled,
         n_obs=n,
         n_params=p,

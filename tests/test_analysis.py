@@ -104,10 +104,34 @@ def test_anova_null_term_sum_sq_matches_high_precision_reference():
         assert abs((row.sum_sq - ref) / ref) <= 1e-10
 
 
-def test_anova_exact_fit_null_term_has_zero_sum_sq():
+def test_anova_nearly_collinear_term_sum_sq_matches_high_precision_reference():
+    # acc1 nearly determines train, so train's coefficients are large and its
+    # covariance block nearly singular: inverting that block loses most digits
+    records = make_records(300, seed=3)
+    levels = sorted({r.train for r in records})
+    noise = np.random.default_rng(0).normal(0.0, 1e-8, len(records))
+    table = record_table([
+        dataclasses.replace(r, acc1=0.1 * levels.index(r.train) + e)
+        for r, e in zip(records, noise)
+    ])
+    row = anova_partial_eta2(table, "avg_acc ~ acc1 + train + incr").row("train")
+    with mp.workdps(50):
+        ref = mp_ssr(table, ["acc1", "incr"]) - mp_ssr(table, ["acc1", "train", "incr"])
+        assert abs((row.sum_sq - ref) / ref) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    # with the interaction, the null incr's "with" model {train, incr} is not the full model
+    "formula", ["avg_acc ~ train + incr", "avg_acc ~ train + incr + train:incr"]
+)
+def test_anova_exact_fit_null_term_has_zero_sum_sq(formula):
     table = make_table(60, seed=3, train_effects={"dino": 0.3}, noise=0.0)
-    row = anova_partial_eta2(table, "avg_acc ~ train + incr").row("incr")
+    anova = anova_partial_eta2(table, formula)
+    row = anova.row("incr")
     assert (row.sum_sq, row.f_stat, row.p_value, row.partial_eta_sq) == (0.0, 0.0, 1.0, 0.0)
+    planted = anova.row("train")
+    assert planted.sum_sq > 0
+    assert (planted.f_stat, planted.p_value, planted.partial_eta_sq) == (math.inf, 0.0, 1.0)
 
 
 def test_anova_invariant_to_term_order():
@@ -157,22 +181,26 @@ def test_anova_type2_with_interaction_excludes_containing_terms():
 @pytest.mark.parametrize(
     "formula, expected",
     [
-        ("avg_acc ~ train", 2),
-        ("avg_acc ~ train + incr + data", 4),
-        ("avg_acc ~ train + incr + data + acc1", 5),
-        # full, {incr}, {train}, and {train, incr}: the "with" model of both main
-        # effects and the base of train:incr, fitted once
-        ("avg_acc ~ train + incr + train:incr", 4),
+        ("avg_acc ~ train", 1),
+        ("avg_acc ~ train + incr + data", 1),
+        ("avg_acc ~ train + incr + data + acc1", 1),
+        # the full model, which tests train:incr, and {train, incr}: the "with" model
+        # of both main effects, fitted once
+        ("avg_acc ~ train + incr + train:incr", 2),
     ],
 )
 def test_anova_fits_full_model_once(monkeypatch, formula, expected):
     import efcilab.stats.analysis as analysis
 
     table = make_table(150, seed=8, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
-    calls = []
-    monkeypatch.setattr(analysis, "ols_fit", lambda design: calls.append(1) or ols_fit(design))
+    fits, encodes = [], []
+    monkeypatch.setattr(analysis, "ols_fit", lambda design: fits.append(1) or ols_fit(design))
+    monkeypatch.setattr(
+        analysis, "encode_design", lambda *args: encodes.append(1) or encode_design(*args)
+    )
     anova_partial_eta2(table, formula)
-    assert len(calls) == expected
+    # every sum of squares comes from a fit's coefficients: nothing is encoded but to fit
+    assert len(fits) == len(encodes) == expected
 
 
 def _refit_anova_rows(table, formula):

@@ -333,13 +333,24 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert main(["grid", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_cli_grid_rejects_jobs_below_one(tmp_path, capsys, jobs):
+_JOBS_ERROR = "--jobs: expected an integer of at least 1, got '{}'"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["--jobs", "0", "--out", "o"], _JOBS_ERROR.format("0"), id="0"),
+        pytest.param(["--jobs", "-3", "--out", "o"], _JOBS_ERROR.format("-3"), id="-3"),
+        pytest.param([], "the following arguments are required: --out", id="no-out"),
+    ],
+)
+def test_cli_grid_rejects_jobs_below_one(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["grid", "--jobs", jobs, "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
-    assert f"--jobs: expected an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+        main(["grid", *args])
+    assert exc.value.code == 1  # a usage error, not "grid completed with failures" (2)
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_run_single_cell(tmp_path, capsys):

@@ -161,9 +161,10 @@ def test_bundle_fits_each_distinct_model_once(monkeypatch, rich_records):
     monkeypatch.setattr(analysis, "ols_fit", counting)
     build_report_bundle(rich_records)
     assert len(fitted) == len(set(fitted))
-    # screening 2 x 10, AIC 2 x 5 more, the acc1 ANOVA's 3 reduced models, and one
-    # pairwise model per dataset (2), method (3) and initial-class share (2)
-    assert len(fitted) == 20 + 10 + 3 + 7
+    # screening 2 x 10, AIC 2 x 5 more (each ANOVA model is additive and on an AIC
+    # ladder, so ANOVA fits nothing new), and one pairwise model per dataset (2),
+    # method (3) and initial-class share (2)
+    assert len(fitted) == 20 + 10 + 7
 
 
 def test_render_twice_is_byte_identical(tmp_path, bundle):
