@@ -154,62 +154,62 @@ def synth_features(spec: SynthSpec) -> FeatureDataset:
 
 
 def save_features(ds: FeatureDataset, path: str | Path) -> None:
-    """Write the canonical feature CSV (UTF-8, LF): label,split,f0..f{d-1}."""
-    path = Path(path)
-    header = "label,split," + ",".join(f"f{i}" for i in range(ds.dim))
-    lines = [header]
-    for label, train, row in zip(ds.labels.tolist(), ds.is_train.tolist(), ds.features.tolist()):
-        lines.append(f"{label},{'train' if train else 'test'}," + ",".join(map(repr, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Stream the canonical feature CSV (UTF-8, LF) one row at a time: label,split,f0..f{d-1}."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("label,split," + ",".join(f"f{i}" for i in range(ds.dim)) + "\n")
+        for label, train, row in zip(ds.labels.tolist(), ds.is_train.tolist(), ds.features):
+            fh.write(f"{label},{'train' if train else 'test'}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_features(path: str | Path, name: str | None = None, meta: dict | None = None) -> FeatureDataset:
-    """Parse a canonical feature CSV; errors carry the offending line number."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise DatasetError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[:2] != ["label", "split"] or len(header) < 3:
-        raise DatasetError(f"{path}:1: header must be 'label,split,f0,...'")
-    for i, col in enumerate(header[2:]):
-        if col != f"f{i}":
-            raise DatasetError(f"{path}:1: feature column {i} is named {col!r}, expected 'f{i}'")
-    dim = len(header) - 2
+    """Parse a canonical feature CSV, streamed line by line; errors carry the offending line number.
 
-    labels: list[int] = []
-    splits: list[bool] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != dim + 2:
-            raise DatasetError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(parts)}")
-        try:
-            label = int(parts[0])
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: label {parts[0]!r} is not an integer") from None
-        if label < 0:
-            raise DatasetError(f"{path}:{lineno}: label must be nonnegative, got {label}")
-        if parts[1] not in CSV_SPLITS:
-            raise DatasetError(f"{path}:{lineno}: split {parts[1]!r} is not one of {CSV_SPLITS}")
-        try:
-            values = [float(v) for v in parts[2:]]
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: non-numeric feature value") from None
-        if not all(math.isfinite(v) for v in values):
-            raise DatasetError(f"{path}:{lineno}: non-finite feature value")
-        labels.append(label)
-        splits.append(parts[1] == "train")
-        rows.append(values)
+    LF or CRLF ends a line; blank lines are skipped. Labels are integers below 2**63."""
+    path = Path(path)
+    labels, splits, rows = [], [], []
+    with path.open(encoding="utf-8") as fh:
+        first = next(fh, None)
+        if first is None:
+            raise DatasetError(f"{path}: empty file")
+        header = first.rstrip("\n").split(",")
+        if header[:2] != ["label", "split"] or len(header) < 3:
+            raise DatasetError(f"{path}:1: header must be 'label,split,f0,...'")
+        for i, col in enumerate(header[2:]):
+            if col != f"f{i}":
+                raise DatasetError(f"{path}:1: feature column {i} is named {col!r}, expected 'f{i}'")
+        dim = len(header) - 2
+
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != dim + 2:
+                raise DatasetError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(parts)}")
+            try:
+                label = int(parts[0])
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: label {parts[0]!r} is not an integer") from None
+            if label < 0:
+                raise DatasetError(f"{path}:{lineno}: label must be nonnegative, got {label}")
+            if label >= 1 << 63:
+                raise DatasetError(f"{path}:{lineno}: label must be below 2**63, got {label}")
+            if parts[1] not in CSV_SPLITS:
+                raise DatasetError(f"{path}:{lineno}: split {parts[1]!r} is not one of {CSV_SPLITS}")
+            try:
+                values = np.array(parts[2:], dtype=np.float64)
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: non-numeric feature value") from None
+            if not np.isfinite(values).all():
+                raise DatasetError(f"{path}:{lineno}: non-finite feature value")
+            labels.append(label)
+            splits.append(parts[1] == "train")
+            rows.append(values)
 
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     ds = FeatureDataset(
         name=name if name is not None else path.stem,
-        features=np.array(rows, dtype=np.float64),
+        features=np.stack(rows),
         labels=np.array(labels, dtype=np.int64),
         is_train=np.array(splits, dtype=bool),
         meta=dict(meta) if meta else {},

@@ -1,6 +1,7 @@
 """Synthetic feature generation, CSV round trips, dataset statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,25 +134,46 @@ def test_load_small_file(tmp_path):
 
 
 def test_load_errors_carry_line_numbers(tmp_path):
-    nan_file = tmp_path / "nan.csv"
-    nan_file.write_text("label,split,f0,f1\n0,train,1.0,nan\n0,test,0.5,1.0\n")
-    with pytest.raises(DatasetError, match=r"nan\.csv:2: non-finite"):
-        load_features(nan_file)
+    # each file is the header "label,split,f0,f1" followed by these bytes
+    cases = [
+        ("nan", b"\n0,train,1.0,nan\n0,test,0.5,1.0\n", r"nan\.csv:2: non-finite"),
+        ("ragged", b"\n0,train,1.0\n", r"ragged\.csv:2: expected 4 fields"),
+        ("split", b"\n0,validate,1.0,2.0\n", r"split\.csv:2: split"),
+        # one past the largest int64
+        ("huge", b"\n9223372036854775808,train,1.0,2.0\n", r"huge\.csv:2: label must be below 2\*\*63"),
+        # line numbers count every physical line: CRLF endings, blank and whitespace-only lines
+        ("crlf", b"\r\n0,train,1.0,2.0\r\n0,train,1.0,inf\r\n", r"crlf\.csv:3: non-finite"),
+        ("blank", b"\n0,train,1.0,2.0\n\n   \n\t\n0,validate,1.0,2.0\n", r"blank\.csv:6: split"),
+        ("crlf_blank", b"\r\n\r\n  \r\n0,train,1.0\r\n", r"crlf_blank\.csv:4: expected 4 fields"),
+        ("missing", b"\n0,train,1.0,2.0\n1,train,0.5,1.0\n1,test,0.5,1.0\n", "class 0 lacks"),
+    ]
+    for stem, body, pattern in cases:
+        path = tmp_path / f"{stem}.csv"
+        path.write_bytes(b"label,split,f0,f1" + body)
+        with pytest.raises(DatasetError, match=pattern):
+            load_features(path)
 
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("label,split,f0,f1\n0,train,1.0\n")
-    with pytest.raises(DatasetError, match=r"ragged\.csv:2: expected 4 fields"):
-        load_features(ragged)
+    top = tmp_path / "top.csv"
+    top.write_bytes(b"label,split,f0\r\n9223372036854775807,train,1.0\r\n9223372036854775807,test,2.0\r\n")
+    assert load_features(top).labels.tolist() == [2**63 - 1] * 2
 
-    bad_split = tmp_path / "split.csv"
-    bad_split.write_text("label,split,f0,f1\n0,validate,1.0,2.0\n")
-    with pytest.raises(DatasetError, match=r"split\.csv:2: split"):
-        load_features(bad_split)
 
-    missing = tmp_path / "missing.csv"
-    missing.write_text("label,split,f0,f1\n0,train,1.0,2.0\n1,train,0.5,1.0\n1,test,0.5,1.0\n")
-    with pytest.raises(DatasetError, match="class 0 lacks"):
-        load_features(missing)
+def test_csv_save_and_load_stream_their_rows(tmp_path):
+    # 300 x 128 values: a Python object per value would take several times the array
+    ds = synth_features(SynthSpec(n_classes=30, dim=128, n_train=6, n_test=4, separation=2.0, seed=4))
+    path = tmp_path / "feat.csv"
+    tracemalloc.start()
+    try:
+        save_features(ds, path)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = load_features(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.features, ds.features)
+    assert save_peak < ds.features.nbytes
+    assert load_peak < 4 * ds.features.nbytes
 
 
 def test_dataset_stats_balanced():
