@@ -27,7 +27,7 @@ from .metrics import (
     initial_accuracy,
     metric_correlations,
 )
-from .scenario import Scenario, ScenarioError, StepView, build_scenario, partition_dataset
+from .scenario import Scenario, ScenarioError, build_scenario, partition_dataset
 
 __all__ = [
     "AccuracyMatrix",
@@ -40,7 +40,6 @@ __all__ = [
     "NearestClassMean",
     "Scenario",
     "ScenarioError",
-    "StepView",
     "StreamingLDA",
     "SynthSpec",
     "avg_forgetting",

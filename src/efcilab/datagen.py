@@ -225,9 +225,9 @@ def dataset_stats(ds: FeatureDataset) -> DatasetStats:
     """Mean and population std of per-class train/test sample counts."""
     if ds.n_samples == 0:
         raise DatasetError("dataset is empty")
-    classes = ds.class_ids
-    train_counts = np.array([np.sum((ds.labels == c) & ds.is_train) for c in classes], dtype=float)
-    test_counts = np.array([np.sum((ds.labels == c) & ~ds.is_train) for c in classes], dtype=float)
+    classes, class_of = np.unique(ds.labels, return_inverse=True)
+    train_counts = np.bincount(class_of[ds.is_train], minlength=len(classes)).astype(float)
+    test_counts = np.bincount(class_of[~ds.is_train], minlength=len(classes)).astype(float)
     return DatasetStats(
         n_classes=len(classes),
         n_mean=float(train_counts.mean()),

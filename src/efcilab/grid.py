@@ -17,6 +17,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .config import GridConfig, config_hash, stable_seed
 from .datagen import FeatureDataset, SynthSpec, dataset_stats, load_features, synth_features
@@ -124,8 +126,7 @@ def run_single(
 
     stats = dataset_stats(ds)
     metrics = compute_metrics(matrix, sc.initial_fraction)
-    train_labels = ds.labels[ds.is_train]
-    n1 = int(sum(int((train_labels == c).sum()) for c in sc.steps[0]))
+    n1 = int(np.isin(ds.labels[ds.is_train], sc.steps[0]).sum())
     record = RunRecord(
         run_id=spec.run_id,
         data=spec.data,
@@ -257,7 +258,10 @@ def load_results(path: str | Path) -> ResultsTable:
                 if key in ("config_hash", "version"):
                     meta[key] = val
                 elif key == "base_seed":
-                    meta[key] = int(val)
+                    try:
+                        meta[key] = int(val)
+                    except ValueError:
+                        raise ResultsError(f"{path}:1: invalid header token {token!r}") from None
         lines = lines[1:]
     if not lines or lines[0].split(",") != list(RESULTS_COLUMNS):
         raise ResultsError(f"{path}: missing or wrong header; expected {','.join(RESULTS_COLUMNS)}")

@@ -611,30 +611,29 @@ def run_incremental(
 ) -> AccuracyMatrix:
     """Run a full incremental process and collect the accuracy matrix.
 
-    After each step k the model is evaluated on every test subset i <= k
-    and on the cumulative test set of steps 1..k.
+    Step k's rows are selected when the loop reaches it, from the step
+    index of every row: the learner trains on the train rows of step k and
+    is then evaluated on every test subset i <= k and on the cumulative
+    test set of steps 1..k. Only one step's rows are held at a time.
     """
     learner = make_learner(kind, hyperparams)
-    views = partition_dataset(ds, sc)
+    step_of = partition_dataset(ds, sc)
     k_total = sc.n_steps
-
-    # step index for every test label, for per-subset accuracy slicing
-    label_to_step = {c: k for k, step in enumerate(sc.steps, start=1) for c in step}
 
     per_subset = np.full((k_total, k_total), np.nan)
     cumulative = np.full(k_total, np.nan)
-    for view in views:
-        k = view.step_index
+    for k in range(1, k_total + 1):
+        train = ds.is_train & (step_of == k)
+        test = ~ds.is_train & (1 <= step_of) & (step_of <= k)
         try:
-            learner.learn_step(view.train_features, view.train_labels)
-            predictions = learner.predict(view.test_features)
+            learner.learn_step(ds.features[train], ds.labels[train])
+            predictions = learner.predict(ds.features[test])
         except LearnerError as exc:
             raise LearnerError(f"step {k}: {exc}") from exc
-        hits = predictions == view.test_labels
-        subset_of = np.array([label_to_step[int(c)] for c in view.test_labels])
+        hits = predictions == ds.labels[test]
+        subset_of = step_of[test]
         for i in range(1, k + 1):
-            mask = subset_of == i
-            per_subset[k - 1, i - 1] = float(hits[mask].mean())
+            per_subset[k - 1, i - 1] = float(hits[subset_of == i].mean())
         cumulative[k - 1] = float(hits.mean())
 
     matrix = AccuracyMatrix(per_subset=per_subset, cumulative=cumulative)

@@ -4,6 +4,9 @@ A scenario splits a class set into K disjoint steps. Two layouts are
 supported: ``equal`` (classes spread evenly over the incremental steps)
 and ``half`` (half of the classes in the first step, the rest spread
 evenly). The initial-class fraction ``b`` is kept as an exact fraction.
+A dataset meets a scenario through one array, the step of each of its
+rows, from which each step's train and test rows are selected when the
+stream reaches that step.
 """
 
 from __future__ import annotations
@@ -40,21 +43,6 @@ class Scenario:
     def initial_fraction(self) -> Fraction:
         """Share of all classes that the first step holds, exact."""
         return Fraction(len(self.steps[0]), len(self.class_ids))
-
-    def classes_up_to(self, k: int) -> frozenset[int]:
-        """Classes of steps 1..k (k is 1-based)."""
-        return frozenset(c for step in self.steps[:k] for c in step)
-
-
-@dataclass(frozen=True)
-class StepView:
-    """Data visible at one step: current-step train, cumulative test."""
-
-    step_index: int  # 1-based
-    train_features: np.ndarray
-    train_labels: np.ndarray
-    test_features: np.ndarray  # cumulative over steps 1..step_index
-    test_labels: np.ndarray
 
 
 def build_scenario(
@@ -111,12 +99,12 @@ def build_scenario(
     return Scenario(kind=kind, steps=tuple(steps))
 
 
-def partition_dataset(ds, sc: Scenario) -> list[StepView]:
-    """Materialize the per-step views of ``ds`` under scenario ``sc``.
+def partition_dataset(ds, sc: Scenario) -> np.ndarray:
+    """The 1-based step of each row of ``ds`` under scenario ``sc``.
 
-    Each view holds the current step's train samples and the cumulative
-    test samples of all steps so far, in original row order. Every class
-    of the scenario must have at least one train and one test sample.
+    Rows of classes outside the scenario get 0. Step k trains on the train
+    rows of step k and tests on the test rows of steps 1..k. Every class of
+    the scenario must have at least one train and one test sample.
     """
     present_train = set(np.unique(ds.labels[ds.is_train]).tolist())
     present_test = set(np.unique(ds.labels[~ds.is_train]).tolist())
@@ -124,19 +112,7 @@ def partition_dataset(ds, sc: Scenario) -> list[StepView]:
     if missing:
         raise ScenarioError(f"missing classes: {missing}")
 
-    views: list[StepView] = []
+    step_of = np.zeros(ds.labels.shape[0], dtype=np.int64)
     for k, step in enumerate(sc.steps, start=1):
-        step_set = np.isin(ds.labels, list(step))
-        cum_set = np.isin(ds.labels, list(sc.classes_up_to(k)))
-        train_idx = np.where(step_set & ds.is_train)[0]
-        test_idx = np.where(cum_set & ~ds.is_train)[0]
-        views.append(
-            StepView(
-                step_index=k,
-                train_features=ds.features[train_idx],
-                train_labels=ds.labels[train_idx],
-                test_features=ds.features[test_idx],
-                test_labels=ds.labels[test_idx],
-            )
-        )
-    return views
+        step_of[np.isin(ds.labels, step)] = k
+    return step_of

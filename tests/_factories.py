@@ -1,8 +1,20 @@
-"""Shared factories for the run-record tables and designs used by the stats tests."""
+"""Shared factories: per-step learner inputs, and the run-record tables and
+designs used by the stats tests."""
 
 import numpy as np
 
+from efcilab.scenario import partition_dataset
 from efcilab.stats.design import DesignMatrix, Formula, RecordTable, RunRecord, record_table
+
+
+def step_arrays(ds, sc):
+    """Each step's ``(x, y, test_x, test_y)``: the train rows of step k and
+    the test rows of steps 1..k, as ``run_incremental`` hands them out."""
+    step_of = partition_dataset(ds, sc)
+    for k in range(1, sc.n_steps + 1):
+        train = ds.is_train & (step_of == k)
+        test = ~ds.is_train & (1 <= step_of) & (step_of <= k)
+        yield ds.features[train], ds.labels[train], ds.features[test], ds.labels[test]
 
 
 def design_from_arrays(x, y, labels=None) -> DesignMatrix:

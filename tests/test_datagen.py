@@ -209,6 +209,17 @@ def test_dataset_stats_population_std():
     assert stats.sigma_train == 5.0
 
 
+def test_dataset_stats_counts_a_class_missing_from_a_split_as_zero():
+    # class 3 has no test rows, class 7 no train rows (first and middle ids)
+    labels = np.array([3, 3, 7, 7, 9, 9], dtype=np.int64)
+    is_train = np.array([True, True, False, False, True, False])
+    ds = FeatureDataset(name="gaps", features=np.zeros((6, 1)), labels=labels, is_train=is_train)
+    stats = dataset_stats(ds)
+    assert stats.n_classes == 3
+    assert (stats.n_mean, stats.sigma_train) == (1.0, float(np.std([2.0, 0.0, 1.0])))
+    assert (stats.mu_test, stats.sigma_test) == (1.0, float(np.std([0.0, 2.0, 1.0])))
+
+
 def test_stats_sigma_zero_iff_balanced():
     labels = np.array([0] * 4 + [1] * 5, dtype=np.int64)
     is_train = np.array([True, True, True, False, True, True, True, True, False])

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 
 import pytest
 
@@ -269,6 +270,17 @@ def test_load_results_line_numbers_count_any_comment_header(tmp_path):
         path.write_text("\n".join(first_lines + [header, rows[0], "a,b,c"] + rows[1:]) + "\n")
         with pytest.raises(ResultsError, match=rf"bad\.csv:{bad_lineno}: expected"):
             load_results(path)
+
+
+def test_load_results_names_the_file_and_token_of_a_bad_header_seed(tmp_path, capsys):
+    cfg = toy_config(learners=("ncm",), scenarios=("equal",))
+    text = (write_results(run_grid(cfg), tmp_path / "g")).read_text()
+    path = tmp_path / "bad.csv"
+    path.write_text(re.sub(r"base_seed=\d+", "base_seed=abc", text, count=1))
+    with pytest.raises(ResultsError, match=r"bad\.csv:1: .*'base_seed=abc'"):
+        load_results(path)
+    assert main(["analyze", "--results", str(path), "--out", str(tmp_path / "r")]) == 1
+    assert "bad.csv:1: " in capsys.readouterr().err
 
 
 def test_failures_csv_reads_back_as_run_error_pairs(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _factories import step_arrays
 from efcilab import learners
 from efcilab.datagen import FeatureDataset, SynthSpec, synth_features
 from efcilab.learners import (
@@ -24,7 +25,7 @@ from efcilab.learners import (
     run_incremental,
     select_source_class,
 )
-from efcilab.scenario import Scenario, build_scenario, partition_dataset
+from efcilab.scenario import Scenario, build_scenario
 
 
 def batch_lda_params(x, y, shrinkage):
@@ -338,14 +339,13 @@ def test_head_rejects_an_underflowed_normaliser():
 @pytest.mark.parametrize("dim", [8, 256])
 def test_fetril_head_receives_real_rows_and_one_offset_per_past_class(monkeypatch, dim):
     ds = synth_features(SynthSpec(n_classes=6, dim=dim, n_train=10, n_test=5, separation=4.0, seed=3))
-    views = partition_dataset(ds, build_scenario(list(range(6)), "equal", 3, seed=4))
+    sc = build_scenario(list(range(6)), "equal", 3, seed=4)
     calls = []
     original = learners.fit_softmax_head
     monkeypatch.setattr(learners, "fit_softmax_head", lambda *a: calls.append(a) or original(*a))
     learner = FeTrILLite()
     past_means = {}
-    for view in views:
-        x, y = view.train_features, view.train_labels
+    for x, y, test_x, _ in step_arrays(ds, sc):
         step_means = {int(c): x[y == c].mean(axis=0) for c in np.unique(y)}
         learner.learn_step(x, y)
         features, rows, shifts, shift_of, class_idx, n_classes, lr, epochs, decay = calls[-1]
@@ -355,8 +355,8 @@ def test_fetril_head_receives_real_rows_and_one_offset_per_past_class(monkeypatc
         past_means.update(step_means)
         ids = np.array(sorted(past_means))
         w, b = reference_head(ref_x, np.searchsorted(ids, ref_y), len(ids), lr, epochs, decay)
-        expected = argmax_by_class(view.test_features @ w.T + b, ids)
-        assert np.array_equal(learner.predict(view.test_features), expected)
+        expected = argmax_by_class(test_x @ w.T + b, ids)
+        assert np.array_equal(learner.predict(test_x), expected)
     assert len(calls) == 3
 
 
@@ -574,8 +574,7 @@ def test_bsil_matches_full_dimension_oracle(dim, strength):
     ds = synth_features(SynthSpec(n_classes=6, dim=dim, n_train=4, n_test=2, separation=3.0, seed=dim))
     sc = Scenario(kind="equal", steps=((0, 1, 2), (3, 4, 5)))
     learner = BSILLite(lr=0.1, epochs=100, anchor_strength=strength)
-    for view in partition_dataset(ds, sc):
-        x, y = view.train_features, view.train_labels
+    for x, y, _, _ in step_arrays(ds, sc):
         ref_w, ref_scale = reference_bsil_step(learner, x, y)
         learner.learn_step(x, y)
         w = np.stack([learner.weights[int(c)] for c in learner.known_classes])
@@ -690,6 +689,22 @@ def test_bsil_free_head_forgets_on_same_data():
     sc = build_scenario(list(range(30)), "equal", 10, seed=3)
     matrix = run_incremental("bsil", ds, sc, {"anchor_strength": 0.0})
     assert matrix.accuracy(10, 1) < matrix.accuracy(1, 1)
+
+
+def test_run_incremental_holds_one_step_of_rows_at_a_time():
+    # 10 steps of 2 classes: the largest step holds 40 train and 400 test
+    # rows, while every step's rows held at once are 400 train and 2,200
+    # cumulative test rows
+    ds = synth_features(SynthSpec(n_classes=20, dim=64, n_train=20, n_test=20, separation=4.0, seed=4))
+    sc = build_scenario(list(range(20)), "equal", 10, seed=4)
+    every_step = sum(sum(a.nbytes for a in step) for step in step_arrays(ds, sc))
+    tracemalloc.start()
+    try:
+        run_incremental("ncm", ds, sc, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < every_step / 2
 
 
 def test_run_incremental_is_deterministic():

@@ -1,4 +1,4 @@
-"""Scenario splitting: sizes, disjointness, determinism, partitioning."""
+"""Scenario splitting: sizes, disjointness, determinism, the step index of each row."""
 
 from fractions import Fraction
 
@@ -70,38 +70,53 @@ def small_dataset():
 
 def test_partition_is_bijection_on_train_samples(small_dataset):
     sc = build_scenario(list(range(10)), "equal", 5, seed=1)
-    views = partition_dataset(small_dataset, sc)
-    total_train = sum(v.train_features.shape[0] for v in views)
-    assert total_train == int(small_dataset.is_train.sum())
-    seen = []
-    for view, step in zip(views, sc.steps):
-        assert set(np.unique(view.train_labels)) == set(step)
-        seen.extend(view.train_labels.tolist())
-    # each train sample lands in exactly one view
-    train_labels = small_dataset.labels[small_dataset.is_train]
-    assert sorted(seen) == sorted(train_labels.tolist())
+    step_of = partition_dataset(small_dataset, sc)
+    assert step_of.shape == small_dataset.labels.shape and step_of.dtype == np.int64
+    train_steps = step_of[small_dataset.is_train]
+    assert train_steps.min() == 1 and train_steps.max() == sc.n_steps
+    # steps 1..K split the train rows: their counts add up to all of them
+    counts = np.bincount(train_steps, minlength=sc.n_steps + 1)
+    assert counts[0] == 0 and counts.sum() == int(small_dataset.is_train.sum())
+
+
+def test_partition_step_rows_are_exactly_its_classes(small_dataset):
+    sc = build_scenario(list(range(10)), "equal", 5, seed=3)
+    step_of = partition_dataset(small_dataset, sc)
+    for k, step in enumerate(sc.steps, start=1):
+        assert np.array_equal(step_of == k, np.isin(small_dataset.labels, step))
+        train = small_dataset.is_train & (step_of == k)
+        assert set(small_dataset.labels[train].tolist()) == set(step)
+        assert int(train.sum()) == 12  # 2 classes x 6 train
 
 
 def test_partition_cumulative_test_classes(small_dataset):
     sc = build_scenario(list(range(10)), "half", 5, seed=1)
-    views = partition_dataset(small_dataset, sc)
-    assert set(np.unique(views[0].test_labels)) == set(sc.steps[0])
-    assert len(set(np.unique(views[0].test_labels))) == 5
-    assert set(np.unique(views[-1].test_labels)) == set(range(10))
-
-
-def test_partition_balanced_dataset_equal_views(small_dataset):
-    sc = build_scenario(list(range(10)), "equal", 5, seed=3)
-    views = partition_dataset(small_dataset, sc)
-    for view in views:
-        assert view.train_features.shape[0] == 12  # 2 classes x 6 train
+    step_of = partition_dataset(small_dataset, sc)
+    for k in range(1, sc.n_steps + 1):
+        test = ~small_dataset.is_train & (1 <= step_of) & (step_of <= k)
+        seen = {c for step in sc.steps[:k] for c in step}
+        assert set(small_dataset.labels[test].tolist()) == seen
+        assert int(test.sum()) == 3 * len(seen)  # every test row of those classes
 
 
 def test_partition_sample_order_is_original_index(small_dataset):
+    # the index follows the rows as they stand: permuting them permutes it
     sc = build_scenario(list(range(10)), "equal", 5, seed=3)
-    view = partition_dataset(small_dataset, sc)[2]
-    idx = np.where(np.isin(small_dataset.labels, list(sc.steps[2])) & small_dataset.is_train)[0]
-    assert np.array_equal(view.train_features, small_dataset.features[idx])
+    step_of = partition_dataset(small_dataset, sc)
+    order = np.random.default_rng(0).permutation(small_dataset.n_samples)
+    shuffled = type(small_dataset)(
+        name="shuffled",
+        features=small_dataset.features[order],
+        labels=small_dataset.labels[order],
+        is_train=small_dataset.is_train[order],
+    )
+    assert np.array_equal(partition_dataset(shuffled, sc), step_of[order])
+
+
+def test_partition_gives_step_0_to_classes_outside_the_scenario(small_dataset):
+    sc = build_scenario(list(range(6)), "equal", 3, seed=2)
+    step_of = partition_dataset(small_dataset, sc)
+    assert np.array_equal(step_of == 0, small_dataset.labels >= 6)
 
 
 def test_partition_missing_class_error(small_dataset):
