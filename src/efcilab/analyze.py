@@ -8,12 +8,11 @@ the field dict of its stats result (``_as_json``), so the stats dataclasses
 are the bundle's schema; NaN is written as None. Only a few keys are not
 fields: a pairwise section's title and slug, the AIC winner (``best``), the
 diagnostics' formula, R^2, AIC and Gram check, and the coefficient table,
-which comes from the fit's arrays. ``build_report_bundle`` is the one place
-where the records become a column table (pairwise subgroups are masked
-takes of it); every section takes that table and fits through its memo, so
-each distinct model is fitted once per bundle, and the memo goes with the
-table. The diagnostics encode the selected model once, for both the
-residual point sets and the Gram check.
+which comes from the fit's arrays. ``build_report_bundle`` takes the column
+table that the CLI codes from the loader's columns (pairwise subgroups are
+masked takes of it); every section fits through the table's memo, so each
+distinct model is fitted once per bundle. The diagnostics encode the
+selected model once, for both the residual point sets and the Gram check.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ from .stats.analysis import (
     screen_variables,
     select_model_aic,
 )
-from .stats.design import (
-    DesignError,
-    RecordTable,
-    RunRecord,
-    encode_design,
-    parse_formula,
-    record_table,
-)
+from .stats.design import DesignError, RecordTable, encode_design, parse_formula
 from .stats.linalg import RankDeficientError
 from .stats.regression import diagnostics, gram_min_eigenvalue
 
@@ -109,14 +101,13 @@ def _as_json(value):
 
 
 def build_report_bundle(
-    records: list[RunRecord],
+    table: RecordTable,
     alpha: float = 0.05,
     config_hash: str = "",
 ) -> dict:
-    """Run the full analysis pipeline over the records."""
-    if len(records) < 3:
-        raise AnalysisError(f"need at least 3 result rows to analyze, got {len(records)}")
-    table = record_table(records)
+    """Run the full analysis pipeline over the table's rows."""
+    if table.n < 3:
+        raise AnalysisError(f"need at least 3 result rows to analyze, got {table.n}")
     warnings: list[str] = []
 
     corr = metric_correlations(np.column_stack([table.columns[m] for m in METRIC_NAMES]))
@@ -124,7 +115,7 @@ def build_report_bundle(
         "version": __version__,
         "alpha": alpha,
         "config_hash": config_hash,
-        "n_records": len(records),
+        "n_records": table.n,
         "correlations": _as_json(corr),
         "screening": {},
         "aic": {},
@@ -233,13 +224,7 @@ def _add_diagnostics(bundle, table: RecordTable, usable_responses, warnings) -> 
 
 
 def _coef_rows(fit) -> list[dict]:
-    return [
-        {
-            "coefficient": label,
-            "estimate": float(fit.beta[i]),
-            "se": float(fit.se[i]),
-            "t_stat": float(fit.t_stats[i]),
-            "p_value": float(fit.p_values[i]),
-        }
-        for i, label in enumerate(fit.column_labels)
-    ]
+    keys = ("coefficient", "estimate", "se", "t_stat", "p_value")
+    rows = zip(fit.column_labels, fit.beta.tolist(), fit.se.tolist(), fit.t_stats.tolist(),
+               fit.p_values.tolist())
+    return [dict(zip(keys, row)) for row in rows]

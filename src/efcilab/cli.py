@@ -26,6 +26,7 @@ from .grid import (
 )
 from .learners import LearnerError
 from .report import FORMATS, load_bundle_json, render_bundle, write_bundle_json
+from .stats.design import column_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,12 +112,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    records = []
-    hashes = []
-    for path in args.results:
-        table = load_results(path)
-        records.extend(table.records)
-        hashes.append(table.config_hash)
+    loaded = [load_results(path) for path in args.results]
+    hashes = [results.config_hash for results in loaded]
     if len(set(hashes)) > 1 and not args.force_mixed:
         print(
             f"error: results files carry different config hashes {sorted(set(hashes))}; "
@@ -124,9 +121,10 @@ def cmd_analyze(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    table = column_table(*(results.columns for results in loaded))
     formats = set(args.formats.split(",")) if args.formats else set(FORMATS)
     bundle = build_report_bundle(
-        records, alpha=args.alpha, config_hash=hashes[0] if len(set(hashes)) == 1 else "mixed"
+        table, alpha=args.alpha, config_hash=hashes[0] if len(set(hashes)) == 1 else "mixed"
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

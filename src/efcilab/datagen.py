@@ -92,13 +92,10 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class DatasetStats:
-    """Per-class sample-count summary plus carried image metadata."""
+    """Class count and mean train samples per class, plus carried image metadata."""
 
     n_classes: int
     n_mean: float  # mean train samples per class
-    sigma_train: float
-    mu_test: float
-    sigma_test: float
     small: bool
     width: float
 
@@ -222,18 +219,13 @@ def load_features(path: str | Path, name: str | None = None, meta: dict | None =
 
 
 def dataset_stats(ds: FeatureDataset) -> DatasetStats:
-    """Mean and population std of per-class train/test sample counts."""
+    """Class count and mean per-class train sample count, with the image metadata."""
     if ds.n_samples == 0:
         raise DatasetError("dataset is empty")
-    classes, class_of = np.unique(ds.labels, return_inverse=True)
-    train_counts = np.bincount(class_of[ds.is_train], minlength=len(classes)).astype(float)
-    test_counts = np.bincount(class_of[~ds.is_train], minlength=len(classes)).astype(float)
+    n_classes = len(np.unique(ds.labels))
     return DatasetStats(
-        n_classes=len(classes),
-        n_mean=float(train_counts.mean()),
-        sigma_train=float(train_counts.std()),
-        mu_test=float(test_counts.mean()),
-        sigma_test=float(test_counts.std()),
+        n_classes=n_classes,
+        n_mean=float(np.count_nonzero(ds.is_train) / n_classes),
         small=bool(ds.meta.get("small", False)),
         width=float(ds.meta.get("width", 0.0)),
     )

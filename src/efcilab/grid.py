@@ -15,7 +15,7 @@ import concurrent.futures
 import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -66,6 +66,16 @@ class ResultsTable:
     base_seed: int
     version: str = __version__
     matrices: dict[str, AccuracyMatrix] | None = None
+
+
+class LoadedResults(NamedTuple):
+    """A parsed results.csv: its header tokens and one array per ``RunRecord``
+    field, strings for the text fields and floats for the rest."""
+
+    columns: dict[str, np.ndarray]
+    config_hash: str
+    base_seed: int
+    version: str
 
 
 def enumerate_runs(cfg: GridConfig) -> list[RunSpec]:
@@ -204,12 +214,6 @@ def run_grid(cfg: GridConfig, jobs: int = 1) -> ResultsTable:
 # Results CSV
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def results_csv_text(table: ResultsTable) -> str:
     lines = [
         f"# efcilab-results version={table.version} "
@@ -217,7 +221,8 @@ def results_csv_text(table: ResultsTable) -> str:
         ",".join(RESULTS_COLUMNS),
     ]
     for r in sorted(table.records, key=lambda r: r.run_id):
-        lines.append(",".join(_format_value(getattr(r, name)) for name, _ in _RECORD_FIELDS))
+        values = (getattr(r, name) for name, _ in _RECORD_FIELDS)
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -244,8 +249,8 @@ def write_results(table: ResultsTable, out_dir: str | Path) -> Path:
     return results_path
 
 
-def load_results(path: str | Path) -> ResultsTable:
-    """Parse a results.csv produced by ``write_results``."""
+def load_results(path: str | Path) -> LoadedResults:
+    """Parse a results.csv produced by ``write_results`` into one array per column."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     meta = {"config_hash": "", "base_seed": 0, "version": ""}
@@ -265,25 +270,35 @@ def load_results(path: str | Path) -> ResultsTable:
         lines = lines[1:]
     if not lines or lines[0].split(",") != list(RESULTS_COLUMNS):
         raise ResultsError(f"{path}: missing or wrong header; expected {','.join(RESULTS_COLUMNS)}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=first_row):
+    width = len(RESULTS_COLUMNS)
+    rows = list(filter(str.strip, lines[1:]))  # blank lines are skipped
+    fields = ",".join(rows).split(",") if rows else []
+    try:
+        if any(row.count(",") != width - 1 for row in rows):
+            raise ValueError("wrong field count")
+        columns = {
+            name: np.array(fields[j::width], dtype=str)
+            if kind is str
+            else np.fromiter(map(kind, fields[j::width]), dtype=float, count=len(rows))
+            for j, (name, kind) in enumerate(_RECORD_FIELDS)
+        }
+    except ValueError:
+        _raise_first_bad_row(path, lines[1:], first_row)
+        raise
+    return LoadedResults(columns, meta["config_hash"], meta["base_seed"], meta["version"])
+
+
+def _raise_first_bad_row(path: Path, lines: list[str], first_row: int) -> None:
+    """Raise the ResultsError of the first data line that does not parse."""
+    width = len(RESULTS_COLUMNS)
+    for lineno, line in enumerate(lines, start=first_row):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != len(RESULTS_COLUMNS):
-            raise ResultsError(
-                f"{path}:{lineno}: expected {len(RESULTS_COLUMNS)} fields, got {len(parts)}"
-            )
-        try:
-            records.append(
-                RunRecord(**{name: kind(part) for (name, kind), part in zip(_RECORD_FIELDS, parts)})
-            )
-        except ValueError as exc:
-            raise ResultsError(f"{path}:{lineno}: {exc}") from None
-    return ResultsTable(
-        records=records,
-        failures=[],
-        config_hash=meta["config_hash"],
-        base_seed=meta["base_seed"],
-        version=meta["version"],
-    )
+        if len(parts) != width:
+            raise ResultsError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+        for (_, kind), part in zip(_RECORD_FIELDS, parts):
+            try:
+                kind(part)
+            except ValueError as exc:
+                raise ResultsError(f"{path}:{lineno}: {exc}") from None

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .stats.analysis import AnovaRow, ModelCandidate, ScreeningRow
+from .stats.distributions import inv_norm_cdf
 from .stats.regression import GramDiagnostic
 
 FORMATS = ("csv", "md", "svg")
@@ -23,11 +24,7 @@ def _fmt(x, digits: int = 6) -> str:
         return ""
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
+    if isinstance(x, float):  # prints nan, inf and -inf as such
         return format(x, f".{digits}g")
     return str(x)
 
@@ -97,6 +94,20 @@ def coefficient_table(coef: dict) -> Table:
         [[r[c] for c in columns] for r in coef["rows"]],
         ["coefficient", "estimate", "se", "t", "p_value"],
     )
+
+
+def diagnostic_tables(diag) -> dict[str, Table]:
+    """Q-Q, scale-location and leverage points: normal quantiles at (i - 1/2)/n
+    against the sorted standardized residuals, sqrt|residual| against fitted."""
+    resid, n = diag["std_residuals"], len(diag["std_residuals"])
+    qq = [[inv_norm_cdf((i + 0.5) / n), r] for i, r in enumerate(sorted(resid))]
+    scale = [[f, math.sqrt(abs(r))] for f, r in zip(diag["fitted"], resid)]
+    leverage = zip(diag["leverage"], resid)
+    return {
+        "qq": Table(["theoretical_quantile", "standardized_residual"], qq),
+        "scale_location": Table(["fitted", "sqrt_abs_standardized_residual"], scale),
+        "leverage": Table(["leverage", "standardized_residual"], [[h, r] for h, r in leverage]),
+    }
 
 
 def pairwise_table(pw: dict) -> Table:
@@ -273,14 +284,7 @@ def render_bundle(bundle: dict, out_dir: str | Path, formats: set[str] | None = 
 
     diag = bundle.get("diagnostics")
     if diag and "csv" in formats:
-        for name, (x, y), header in (
-            ("qq", ("qq_theoretical", "qq_residuals"),
-             ["theoretical_quantile", "standardized_residual"]),
-            ("scale_location", ("fitted", "sqrt_abs_std_residuals"),
-             ["fitted", "sqrt_abs_standardized_residual"]),
-            ("leverage", ("leverage", "std_residuals"), ["leverage", "standardized_residual"]),
-        ):
-            points = Table(header, [list(pair) for pair in zip(diag[x], diag[y])])
+        for name, points in diagnostic_tables(diag).items():
             emit(f"diagnostics_{name}.csv", points.csv())
         emit("gram_check.csv", _field_table([diag["gram"]], GramDiagnostic).csv())
 

@@ -19,9 +19,9 @@ from .design import (
     Formula,
     RecordTable,
     RunRecord,
+    column_table,
     encode_design,
     parse_formula,
-    record_table,
 )
 from .distributions import (
     f_pvalue,
@@ -57,6 +57,7 @@ __all__ = [
     "RunRecord",
     "ScreeningRow",
     "anova_partial_eta2",
+    "column_table",
     "diagnostics",
     "encode_design",
     "f_pvalue",
@@ -66,7 +67,6 @@ __all__ = [
     "ols_fit",
     "pairwise_comparison",
     "parse_formula",
-    "record_table",
     "regularized_incomplete_beta",
     "screen_variables",
     "select_model_aic",

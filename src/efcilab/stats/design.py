@@ -1,8 +1,9 @@
 """Run records, formulas, column tables, and treatment-coded design matrices.
 
-``record_table`` turns records into a column table, the one input of the
-encoder and of every analysis function: one numpy array per variable,
-built in one pass, with categoricals as codes into their sorted levels.
+``column_table`` turns raw columns, as parsed from results.csv, into a
+column table, the one input of the encoder and of every analysis
+function: one numpy array per variable, with categoricals as codes into
+their sorted levels.
 Categorical factors are one-hot encoded with a dropped reference level;
 numeric and binary factors enter as single columns. Column order is
 deterministic: intercept first, then terms in declaration order with
@@ -12,8 +13,6 @@ levels sorted lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Sequence
 
 import numpy as np
 
@@ -118,16 +117,21 @@ class RecordTable:
         return RecordTable(columns, levels)
 
 
-def record_table(records: Sequence[RunRecord]) -> RecordTable:
-    """``records`` as a column table, built in one pass."""
-    values = list(zip(*map(attrgetter(*RECORD_VARIABLES), records))) or [()] * len(RECORD_VARIABLES)
+def column_table(*parts: dict[str, np.ndarray]) -> RecordTable:
+    """One table of the parts' rows, in order, with categoricals coded once.
+
+    Each part maps every record variable to its values, categoricals as
+    strings (the columns ``grid.load_results`` parses), so a categorical's
+    levels are the union over the parts.
+    """
     columns, levels = {}, {}
-    for var, column in zip(RECORD_VARIABLES, values):
+    for var in RECORD_VARIABLES:
+        values = np.concatenate([part[var] for part in parts])
         if var in CATEGORICAL_VARS:
-            uniques, columns[var] = np.unique(np.array(column, dtype=str), return_inverse=True)
+            uniques, columns[var] = np.unique(values.astype(str), return_inverse=True)
             levels[var] = tuple(uniques.tolist())
         else:
-            columns[var] = np.array(column, dtype=float)
+            columns[var] = values.astype(float)
     return RecordTable(columns, levels)
 
 
@@ -209,7 +213,7 @@ def encode_design(
             columns.append(col)
         term_columns[term] = idx
 
-    x = np.column_stack(columns)
+    x = np.array(columns).T  # Fortran order, the layout LAPACK factors
     if x.shape[0] <= x.shape[1]:
         raise DesignError(
             f"underdetermined design: {x.shape[0]} rows for {x.shape[1]} parameters"

@@ -2,8 +2,8 @@
 
 A fit holds estimates only; ``diagnostics(fit, design)`` computes the
 per-row fitted values, residuals and leverages from the fit's design.
-The numerics are numpy's LAPACK: a thin QR for the fit, its Q for the
-leverages (hat diagonal), and ``eigvalsh`` for the Gram check.
+The numerics are numpy's LAPACK: an R-only QR of ``[X | y]`` per fit, a
+thin QR's Q for the leverages, and ``eigvalsh`` for the Gram check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .distributions import f_pvalue, inv_norm_cdf, student_t_pvalue
+from .distributions import f_pvalue, student_t_pvalue
 from .linalg import RankDeficientError, hat_diagonal, least_squares, qr_factor, unscaled_covariance
 
 
@@ -85,7 +85,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
             f"underdetermined design: {n} rows for {p} parameters", list(range(p))
         )
     try:
-        beta, qrf = least_squares(x, y)
+        beta, r = least_squares(x, y)
     except RankDeficientError as exc:
         names = [design.column_labels[i] for i in exc.column_indices]
         raise RankDeficientError(
@@ -100,7 +100,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
     df_resid = n - p
     sigma2 = ssr / df_resid
 
-    cov_unscaled = unscaled_covariance(qrf)
+    cov_unscaled = unscaled_covariance(r)
     se = np.sqrt(np.clip(sigma2 * np.diag(cov_unscaled), 0.0, None))
 
     if sst > 0:
@@ -128,7 +128,7 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
         se=se,
         t_stats=np.empty(p),
         p_values=np.empty(p),
-        r=qrf.r,
+        r=r,
         cov_unscaled=cov_unscaled,
         n_obs=n,
         n_params=p,
@@ -147,18 +147,16 @@ def ols_fit(design: DesignMatrix) -> RegressionFit:
 
 @dataclass
 class DiagnosticsBundle:
-    """Point sets for the three standard residual plots."""
+    """Per-row residual plot data, in row order; the report derives the Q-Q
+    and scale-location ordinates from ``std_residuals``."""
 
-    qq_theoretical: np.ndarray  # normal quantiles, ascending
-    qq_residuals: np.ndarray  # ordered standardized residuals
     fitted: np.ndarray
-    sqrt_abs_std_residuals: np.ndarray  # scale-location ordinate, row order
+    std_residuals: np.ndarray
     leverage: np.ndarray
-    std_residuals: np.ndarray  # row order
 
 
 def diagnostics(fit: RegressionFit, design: DesignMatrix) -> DiagnosticsBundle:
-    """Q-Q, scale-location, and residual-vs-leverage point sets of ``fit`` on ``design``.
+    """Fitted values, standardized residuals and leverages of ``fit`` on ``design``.
 
     Residuals are internally studentized (zero when the fit is exact); the
     leverages are the diagonal of X (X^T X)^{-1} X^T.
@@ -171,16 +169,7 @@ def diagnostics(fit: RegressionFit, design: DesignMatrix) -> DiagnosticsBundle:
         std_resid = np.zeros_like(residuals)
     else:
         std_resid = residuals / (sigma * np.sqrt(np.clip(1.0 - leverage, 1e-12, None)))
-    n = fit.n_obs
-    theoretical = np.array([inv_norm_cdf((i - 0.5) / n) for i in range(1, n + 1)])
-    return DiagnosticsBundle(
-        qq_theoretical=theoretical,
-        qq_residuals=np.sort(std_resid),
-        fitted=fitted,
-        sqrt_abs_std_residuals=np.sqrt(np.abs(std_resid)),
-        leverage=leverage,
-        std_residuals=std_resid,
-    )
+    return DiagnosticsBundle(fitted=fitted, std_residuals=std_resid, leverage=leverage)
 
 
 @dataclass(frozen=True)

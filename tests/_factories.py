@@ -1,10 +1,19 @@
 """Shared factories: per-step learner inputs, and the run-record tables and
 designs used by the stats tests."""
 
+from operator import attrgetter
+
 import numpy as np
 
 from efcilab.scenario import partition_dataset
-from efcilab.stats.design import DesignMatrix, Formula, RecordTable, RunRecord, record_table
+from efcilab.stats.design import (
+    RECORD_VARIABLES,
+    DesignMatrix,
+    Formula,
+    RecordTable,
+    RunRecord,
+    column_table,
+)
 
 
 def step_arrays(ds, sc):
@@ -84,6 +93,12 @@ def make_records(
             )
         )
     return records
+
+
+def record_table(records) -> RecordTable:
+    """``RunRecord``s as the column table the stats functions take."""
+    values = list(zip(*map(attrgetter(*RECORD_VARIABLES), records))) or [()] * len(RECORD_VARIABLES)
+    return column_table(dict(zip(RECORD_VARIABLES, values)))
 
 
 def make_table(n, seed=0, **kwargs) -> RecordTable:

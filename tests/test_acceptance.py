@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _factories import make_table
+from _factories import make_table, record_table
 from efcilab.analyze import build_report_bundle
 from efcilab.config import default_config
 from efcilab.datagen import SynthSpec, synth_features
@@ -28,7 +28,7 @@ from efcilab.learners import (
 from efcilab.metrics import avg_forgetting, avg_incremental_accuracy
 from efcilab.report import render_bundle
 from efcilab.stats.analysis import anova_partial_eta2, pairwise_comparison
-from efcilab.stats.design import DesignMatrix, Formula, encode_design, record_table
+from efcilab.stats.design import DesignMatrix, Formula, encode_design
 from efcilab.stats.regression import ols_fit
 
 mp.mp.dps = 40
@@ -441,7 +441,9 @@ def test_criterion_10_byte_identical_rerun(default_grid, tmp_path_factory):
 
     rendered = []
     for sub in ("rep1", "rep2"):
-        bundle = build_report_bundle(table.records, alpha=0.05, config_hash=table.config_hash)
+        bundle = build_report_bundle(
+            record_table(table.records), alpha=0.05, config_hash=table.config_hash
+        )
         rendered.append(sorted(render_bundle(bundle, base / sub), key=lambda p: p.name))
     reports_identical = len(rendered[0]) == len(rendered[1]) > 0
     for a, b in zip(*rendered):

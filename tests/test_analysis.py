@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _factories import make_records, make_table
+from _factories import make_records, make_table, record_table
 from efcilab.stats.analysis import (
     anova_partial_eta2,
     fit_model,
@@ -16,7 +16,7 @@ from efcilab.stats.analysis import (
     screen_variables,
     select_model_aic,
 )
-from efcilab.stats.design import DesignError, Formula, encode_design, record_table
+from efcilab.stats.design import DesignError, Formula, encode_design
 from efcilab.stats.linalg import RankDeficientError
 from efcilab.stats.regression import ols_fit
 

@@ -179,10 +179,8 @@ def test_csv_save_and_load_stream_their_rows(tmp_path):
 def test_dataset_stats_balanced():
     ds = synth_features(SynthSpec(n_classes=4, dim=3, n_train=250, n_test=50, separation=1.0, seed=0))
     stats = dataset_stats(ds)
+    assert stats.n_classes == 4
     assert stats.n_mean == 250.0
-    assert stats.sigma_train == 0.0
-    assert stats.mu_test == 50.0
-    assert stats.sigma_test == 0.0
     assert stats.small is False and stats.width == 0.0
 
 
@@ -195,18 +193,17 @@ def test_dataset_stats_single_class():
         is_train=np.array([True] * 5 + [False]),
     )
     stats = dataset_stats(ds)
-    assert stats.n_mean == 5.0 and stats.sigma_train == 0.0
+    assert (stats.n_classes, stats.n_mean) == (1, 5.0)
 
 
-def test_dataset_stats_population_std():
-    # train counts {10, 20} -> mean 15, population std 5
+def test_dataset_stats_mean_of_unbalanced_counts():
+    # train counts {10, 20} -> mean 15
     labels = np.array([0] * 12 + [1] * 22, dtype=np.int64)
     is_train = np.array([True] * 10 + [False] * 2 + [True] * 20 + [False] * 2)
     features = np.zeros((34, 2))
     ds = FeatureDataset(name="two", features=features, labels=labels, is_train=is_train)
     stats = dataset_stats(ds)
-    assert stats.n_mean == 15.0
-    assert stats.sigma_train == 5.0
+    assert (stats.n_classes, stats.n_mean) == (2, 15.0)
 
 
 def test_dataset_stats_counts_a_class_missing_from_a_split_as_zero():
@@ -216,12 +213,4 @@ def test_dataset_stats_counts_a_class_missing_from_a_split_as_zero():
     ds = FeatureDataset(name="gaps", features=np.zeros((6, 1)), labels=labels, is_train=is_train)
     stats = dataset_stats(ds)
     assert stats.n_classes == 3
-    assert (stats.n_mean, stats.sigma_train) == (1.0, float(np.std([2.0, 0.0, 1.0])))
-    assert (stats.mu_test, stats.sigma_test) == (1.0, float(np.std([0.0, 2.0, 1.0])))
-
-
-def test_stats_sigma_zero_iff_balanced():
-    labels = np.array([0] * 4 + [1] * 5, dtype=np.int64)
-    is_train = np.array([True, True, True, False, True, True, True, True, False])
-    ds = FeatureDataset(name="x", features=np.zeros((9, 1)), labels=labels, is_train=is_train)
-    assert dataset_stats(ds).sigma_train > 0.0
+    assert stats.n_mean == 1.0  # train counts 2, 0, 1

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from _factories import make_records, make_table
+from _factories import make_records, make_table, record_table
 from efcilab.analyze import AIC_LADDERS, ANOVA_MODELS
 from efcilab.stats.analysis import screen_variables
 from efcilab.stats.design import (
@@ -16,7 +16,6 @@ from efcilab.stats.design import (
     Formula,
     encode_design,
     parse_formula,
-    record_table,
 )
 
 

@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
+from _factories import record_table
 from efcilab.cli import main
 from efcilab.config import (
     ConfigError,
@@ -33,6 +35,7 @@ from efcilab.grid import (
     run_single,
     write_results,
 )
+from efcilab.stats.design import RunRecord, column_table
 
 
 def toy_config(**overrides) -> GridConfig:
@@ -55,6 +58,15 @@ def toy_config(**overrides) -> GridConfig:
     )
     base.update(overrides)
     return GridConfig(**base)
+
+
+N_FIELD, AVG_ACC_FIELD = 5, 11  # field positions of N and avg_acc in a results row
+
+
+def _with_field(row: str, index: int, value: str) -> str:
+    parts = row.split(",")
+    parts[index] = value
+    return ",".join(parts)
 
 
 def test_grid_row_count_is_the_product():
@@ -177,7 +189,15 @@ def test_results_csv_round_trip(tmp_path):
     back = load_results(path)
     assert back.config_hash == table.config_hash
     assert back.base_seed == cfg.base_seed
-    assert back.records == sorted(table.records, key=lambda r: r.run_id)
+    records = sorted(table.records, key=lambda r: r.run_id)
+    assert list(back.columns) == [f.name for f in dataclasses.fields(RunRecord)]
+    for name, column in back.columns.items():
+        assert column.tolist() == [getattr(r, name) for r in records]
+    # coded from the columns, the table is the one the records give
+    coded, expected = column_table(back.columns), record_table(records)
+    assert coded.levels == expected.levels
+    for var, column in expected.columns.items():
+        assert np.array_equal(coded.columns[var], column)
 
 
 def test_grid_records_failures_without_aborting(tmp_path):
@@ -265,11 +285,23 @@ def test_load_results_line_numbers_count_any_comment_header(tmp_path):
     cfg = toy_config(learners=("ncm",), scenarios=("equal",))
     text = (write_results(run_grid(cfg), tmp_path / "g")).read_text()
     comment, header, *rows = text.splitlines()
-    for first_lines, bad_lineno in (([comment], 4), (["# hand-written, no tokens"], 4), ([], 3)):
-        path = tmp_path / "bad.csv"
-        path.write_text("\n".join(first_lines + [header, rows[0], "a,b,c"] + rows[1:]) + "\n")
-        with pytest.raises(ResultsError, match=rf"bad\.csv:{bad_lineno}: expected"):
-            load_results(path)
+    bad_rows = (  # (bad line, its error), each with a later bad line that must not be named
+        ("a,b,c", "expected 14 fields, got 3"),
+        (rows[1] + ",extra", "expected 14 fields, got 15"),
+        (_with_field(rows[1], N_FIELD, "7.5"), "invalid literal for int() with base 10: '7.5'"),
+        (_with_field(rows[1], AVG_ACC_FIELD, "high"), "could not convert string to float: 'high'"),
+    )
+    later_bad = _with_field(rows[2], AVG_ACC_FIELD, "also bad")
+    # blank and whitespace-only data lines are skipped but still counted
+    for top in ([comment], ["# hand-written, no tokens"], []):
+        for blanks in ([], ["", "  "]):
+            good = top + [header, rows[0]] + blanks
+            for bad, message in bad_rows:
+                path = tmp_path / "bad.csv"
+                path.write_text("\n".join(good + [bad, later_bad] + rows[3:]) + "\n")
+                with pytest.raises(ResultsError) as exc:
+                    load_results(path)
+                assert str(exc.value) == f"{path}:{len(good) + 1}: {message}"
 
 
 def test_load_results_names_the_file_and_token_of_a_bad_header_seed(tmp_path, capsys):
@@ -281,6 +313,48 @@ def test_load_results_names_the_file_and_token_of_a_bad_header_seed(tmp_path, ca
         load_results(path)
     assert main(["analyze", "--results", str(path), "--out", str(tmp_path / "r")]) == 1
     assert "bad.csv:1: " in capsys.readouterr().err
+
+
+def _small_results_text(tmp_path) -> str:
+    cfg = toy_config(learners=("ncm",), scenarios=("equal",))
+    return write_results(run_grid(cfg), tmp_path / "g").read_text()
+
+
+def test_load_results_header_errors(tmp_path):
+    comment_line, header, *rows = _small_results_text(tmp_path).splitlines()
+    path = tmp_path / "bad.csv"
+    wrong = header.replace("avg_acc", "avg_accuracy")
+    for lines in ([comment_line, wrong] + rows, [comment_line], []):
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ResultsError) as exc:
+            load_results(path)
+        assert str(exc.value) == f"{path}: missing or wrong header; expected {header}"
+
+
+def test_load_results_of_a_header_only_file_has_empty_columns(tmp_path):
+    comment_line, header, *_ = _small_results_text(tmp_path).splitlines()
+    path = tmp_path / "empty.csv"
+    path.write_text(f"{comment_line}\n{header}\n\n")
+    loaded = load_results(path)
+    assert loaded.base_seed == 77
+    assert all(len(column) == 0 for column in loaded.columns.values())
+    assert main(["analyze", "--results", str(path), "--out", str(tmp_path / "r")]) == 3
+
+
+def test_analyze_codes_levels_over_all_files(tmp_path):
+    cfg = toy_config(learners=("dslda", "ncm"))
+    comment_line, header, *rows = write_results(run_grid(cfg), tmp_path / "g").read_text().splitlines()
+    # s-lo only in the first file, s-hi only in the second, s-mid in both
+    first = [r for r in rows if "__s-lo__" in r or r.startswith("tiny1__s-mid__")]
+    second = [r for r in rows if r not in first]
+    for name, part in (("a", first), ("b", second), ("both", first + second)):
+        (tmp_path / f"{name}.csv").write_text("\n".join([comment_line, header] + part) + "\n")
+    split = ["analyze", "--results", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    assert main(split + ["--out", str(tmp_path / "split")]) == 0
+    assert main(["analyze", "--results", str(tmp_path / "both.csv"), "--out", str(tmp_path / "one")]) == 0
+    bundle = (tmp_path / "split" / "bundle.json").read_bytes()
+    assert bundle == (tmp_path / "one" / "bundle.json").read_bytes()
+    assert b'"s-hi"' in bundle and b'"s-lo"' in bundle
 
 
 def test_failures_csv_reads_back_as_run_error_pairs(tmp_path):
@@ -374,8 +448,7 @@ def test_cli_run_single_cell(tmp_path, capsys):
     assert code == 0
     assert "avg_acc=" in capsys.readouterr().out
     produced = load_results(tmp_path / "runout" / "results.csv")
-    assert len(produced.records) == 1
-    assert produced.records[0].run_id == "tiny1__s-hi__ncm__equal__r0"
+    assert produced.columns["run_id"].tolist() == ["tiny1__s-hi__ncm__equal__r0"]
     assert list((tmp_path / "runout" / "matrices").glob("*.csv"))
 
 

@@ -691,6 +691,43 @@ def test_bsil_free_head_forgets_on_same_data():
     assert matrix.accuracy(10, 1) < matrix.accuracy(1, 1)
 
 
+def ncm_protocol_oracle(ds, sc):
+    """The NCM accuracy matrix rebuilt with plain loops over the scenario's
+    steps: after step k the model is the batch class means of the train rows
+    of steps 1..k, scored on the test rows of each step i <= k."""
+    k_total = sc.n_steps
+    per_subset = np.full((k_total, k_total), np.nan)
+    cumulative = np.full(k_total, np.nan)
+    for k in range(1, k_total + 1):
+        seen = sorted(c for step in sc.steps[:k] for c in step)
+        means = {c: ds.features[ds.is_train & (ds.labels == c)].mean(axis=0) for c in seen}
+        hits_so_far = rows_so_far = 0
+        for i in range(1, k + 1):
+            hits = rows = 0
+            for x, label, is_train in zip(ds.features, ds.labels, ds.is_train):
+                if is_train or int(label) not in sc.steps[i - 1]:
+                    continue
+                nearest = min(seen, key=lambda c: float(np.sum((x - means[c]) ** 2)))
+                hits += nearest == int(label)
+                rows += 1
+            per_subset[k - 1, i - 1] = hits / rows
+            hits_so_far += hits
+            rows_so_far += rows
+        cumulative[k - 1] = hits_so_far / rows_so_far
+    return per_subset, cumulative
+
+
+@pytest.mark.parametrize("kind, n_incr_steps", [("equal", 4), ("half", 3)])
+def test_ncm_stream_matches_loop_oracle(kind, n_incr_steps):
+    ds = synth_features(SynthSpec(n_classes=12, dim=5, n_train=8, n_test=6, separation=1.0, seed=9))
+    sc = build_scenario(list(range(12)), kind, n_incr_steps, seed=9)
+    matrix = run_incremental("ncm", ds, sc, {})
+    per_subset, cumulative = ncm_protocol_oracle(ds, sc)
+    assert 0.0 < np.nanmin(per_subset) and np.nanmax(per_subset[1:]) < 1.0  # not a trivial stream
+    assert np.array_equal(matrix.per_subset, per_subset, equal_nan=True)
+    assert np.array_equal(matrix.cumulative, cumulative)
+
+
 def test_run_incremental_holds_one_step_of_rows_at_a_time():
     # 10 steps of 2 classes: the largest step holds 40 train and 400 test
     # rows, while every step's rows held at once are 400 train and 2,200

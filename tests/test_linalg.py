@@ -70,9 +70,7 @@ def test_unscaled_covariance_matches_inverse_gram():
 def test_hat_diagonal_sums_to_p():
     rng = np.random.default_rng(4)
     for p in (2, 5, 9):
-        x = rng.standard_normal((50, p))
-        _, qrf = least_squares(x, rng.standard_normal(50))
-        h = hat_diagonal(qrf)
+        h = hat_diagonal(qr_factor(rng.standard_normal((50, p))))
         assert abs(h.sum() - p) <= 1e-10
         assert np.all(h >= -1e-12) and np.all(h <= 1 + 1e-12)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _factories import design_from_arrays, make_table
+from efcilab.report import diagnostic_tables
 from efcilab.stats.design import encode_design
 from efcilab.stats.linalg import RankDeficientError, hat_diagonal, qr_factor
 from efcilab.stats.regression import diagnostics, gram_min_eigenvalue, ols_fit
@@ -103,9 +104,10 @@ def test_perfect_fit_residual_points_all_zero():
     y = 1.0 + 2.0 * np.arange(6.0)
     design = design_from_arrays(x, y)
     bundle = diagnostics(ols_fit(design), design)
-    assert np.allclose(bundle.qq_residuals, 0.0)
-    assert np.allclose(bundle.sqrt_abs_std_residuals, 0.0)
     assert np.allclose(bundle.std_residuals, 0.0)
+    tables = diagnostic_tables(dataclasses.asdict(bundle))
+    assert np.allclose([r for _, r in tables["qq"].rows], 0.0)
+    assert np.allclose([r for _, r in tables["scale_location"].rows], 0.0)
 
 
 def test_hat_diagonal_trace_is_p():
@@ -127,10 +129,10 @@ def test_fit_is_independent_of_design_memory_layout():
         2000, seed=12, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1}, acc1_coef=0.3
     )
     design = encode_design(table, "avg_acc ~ acc1 + incr + train + data")
-    assert design.x.flags.c_contiguous
-    fortran = dataclasses.replace(design, x=np.asfortranarray(design.x))
+    assert design.x.flags.f_contiguous
+    c_order = dataclasses.replace(design, x=np.ascontiguousarray(design.x))
     reference = ols_fit(design)
-    fit = ols_fit(fortran)
+    fit = ols_fit(c_order)
     assert np.array_equal(fit.beta, reference.beta)
     assert fit.ssr == reference.ssr
     assert np.array_equal(fit.cov_unscaled, reference.cov_unscaled)
@@ -143,7 +145,8 @@ def test_qq_slope_near_one_for_normal_residuals():
     y = 0.5 + 1.5 * x[:, 1] + rng.standard_normal(n)
     design = design_from_arrays(x, y)
     bundle = diagnostics(ols_fit(design), design)
-    slope = np.polyfit(bundle.qq_theoretical, bundle.qq_residuals, 1)[0]
+    qq = np.array(diagnostic_tables(dataclasses.asdict(bundle))["qq"].rows)
+    slope = np.polyfit(qq[:, 0], qq[:, 1], 1)[0]
     assert 0.95 <= slope <= 1.05
 
 
@@ -152,18 +155,18 @@ def test_diagnostics_shapes_and_leverage_pairing():
     fit = ols_fit(design)
     bundle = diagnostics(fit, design)
     n = fit.n_obs
-    for arr in (
-        bundle.qq_theoretical,
-        bundle.qq_residuals,
-        bundle.fitted,
-        bundle.sqrt_abs_std_residuals,
-        bundle.leverage,
-        bundle.std_residuals,
-    ):
+    for arr in (bundle.fitted, bundle.leverage, bundle.std_residuals):
         assert arr.shape == (n,)
     assert np.allclose(bundle.leverage, hat_diagonal(qr_factor(design.x)))
-    assert np.allclose(np.sort(bundle.std_residuals), bundle.qq_residuals)
-    assert np.allclose(bundle.sqrt_abs_std_residuals, np.sqrt(np.abs(bundle.std_residuals)))
+    # the report's point sets: sorted residuals against ascending normal
+    # quantiles, sqrt|residual| against fitted values, residual against leverage
+    tables = {k: np.array(t.rows) for k, t in diagnostic_tables(dataclasses.asdict(bundle)).items()}
+    assert all(points.shape == (n, 2) for points in tables.values())
+    assert np.all(np.diff(tables["qq"][:, 0]) > 0)
+    assert np.array_equal(tables["qq"][:, 1], np.sort(bundle.std_residuals))
+    assert np.array_equal(tables["scale_location"][:, 0], bundle.fitted)
+    assert np.allclose(tables["scale_location"][:, 1], np.sqrt(np.abs(bundle.std_residuals)))
+    assert np.array_equal(tables["leverage"], np.column_stack([bundle.leverage, bundle.std_residuals]))
 
 
 def test_standardized_residuals_use_leverage():

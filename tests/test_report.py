@@ -1,12 +1,15 @@
 """Report bundle construction and deterministic rendering."""
 
+import copy
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
-from _factories import make_records
+from _factories import make_records, make_table, record_table
 from efcilab.analyze import AnalysisError, build_report_bundle
+from efcilab.cli import main
 from efcilab.report import (
     load_bundle_json,
     pairwise_markdown,
@@ -22,6 +25,7 @@ from efcilab.stats.analysis import (
     PairwiseMatrix,
     ScreeningRow,
 )
+from efcilab.stats.distributions import inv_norm_cdf
 from efcilab.stats.regression import DiagnosticsBundle, GramDiagnostic, ols_fit
 
 
@@ -43,7 +47,7 @@ def rich_records():
 
 @pytest.fixture(scope="module")
 def bundle(rich_records):
-    return build_report_bundle(rich_records, alpha=0.05, config_hash="abc123")
+    return build_report_bundle(record_table(rich_records), alpha=0.05, config_hash="abc123")
 
 
 def test_bundle_sections_present(bundle):
@@ -97,7 +101,7 @@ def test_constant_forgetting_skips_its_models_but_not_accuracy():
     records = [
         dataclasses.replace(r, forgetting=0.125) for r in make_records(60, seed=32)
     ]
-    bundle = build_report_bundle(records, alpha=0.05)
+    bundle = build_report_bundle(record_table(records), alpha=0.05)
     assert any("forgetting" in w for w in bundle["warnings"])
     assert "forgetting" not in bundle["screening"]
     assert "avg_acc" in bundle["screening"]
@@ -106,12 +110,12 @@ def test_constant_forgetting_skips_its_models_but_not_accuracy():
 
 def test_too_few_rows_raises_analysis_error():
     with pytest.raises(AnalysisError, match="at least 3"):
-        build_report_bundle(make_records(2, seed=33))
+        build_report_bundle(make_table(2, seed=33))
 
 
 def test_analysis_of_toy_table_is_fast(rich_records):
     start = time.perf_counter()
-    build_report_bundle(rich_records[:36], alpha=0.05)
+    build_report_bundle(record_table(rich_records[:36]), alpha=0.05)
     assert time.perf_counter() - start < 1.0
 
 
@@ -132,7 +136,7 @@ def test_undefined_values_become_null_and_round_trip(tmp_path):
         )
         for r in make_records(120, seed=32, train_effects={"dino": 0.2})
     ]
-    bundle = build_report_bundle(records)
+    bundle = build_report_bundle(record_table(records))
     corr = bundle["correlations"]
     k = corr["labels"].index("accK")
     assert not corr["defined"][k]
@@ -159,7 +163,7 @@ def test_bundle_fits_each_distinct_model_once(monkeypatch, rich_records):
         return ols_fit(design)
 
     monkeypatch.setattr(analysis, "ols_fit", counting)
-    build_report_bundle(rich_records)
+    build_report_bundle(record_table(rich_records))
     assert len(fitted) == len(set(fitted))
     # screening 2 x 10, AIC 2 x 5 more (each ANOVA model is additive and on an AIC
     # ladder, so ANOVA fits nothing new), and one pairwise model per dataset (2),
@@ -174,6 +178,36 @@ def test_render_twice_is_byte_identical(tmp_path, bundle):
     assert [f.name for f in files1] == [f.name for f in files2]
     for a, b in zip(files1, files2):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_report_renders_a_bundle_carrying_the_derived_diagnostics_alike(tmp_path, bundle):
+    # older bundles also stored the Q-Q abscissae and ordinates and the
+    # scale-location ordinates; the report derives them from std_residuals
+    diag = bundle["diagnostics"]
+    resid = np.array(diag["std_residuals"])
+    n = len(resid)
+    old = copy.deepcopy(bundle)
+    old["diagnostics"].update(
+        qq_theoretical=[inv_norm_cdf((i - 0.5) / n) for i in range(1, n + 1)],
+        qq_residuals=np.sort(resid).tolist(),
+        sqrt_abs_std_residuals=np.sqrt(np.abs(resid)).tolist(),
+    )
+    for name, b in (("old", old), ("new", bundle)):
+        write_bundle_json(b, tmp_path / f"{name}.json")
+        assert main(["report", "--bundle", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "old").iterdir())
+    for name in names:
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+    # the files hold exactly the point sets the older bundle stored
+    for name, (x, y) in (
+        ("qq", ("qq_theoretical", "qq_residuals")),
+        ("scale_location", ("fitted", "sqrt_abs_std_residuals")),
+    ):
+        rows = (tmp_path / "new" / f"diagnostics_{name}.csv").read_text().splitlines()[1:]
+        stored = zip(old["diagnostics"][x], old["diagnostics"][y])
+        assert rows == [f"{a:.6g},{b:.6g}" for a, b in stored]
 
 
 def test_render_respects_format_subsets(tmp_path, bundle):
