@@ -8,7 +8,7 @@ engine including Bonferroni-corrected pairwise comparisons.
 
 __version__ = "0.1.0"
 
-from .datagen import DatasetStats, FeatureDataset, SynthSpec, dataset_stats, load_features, save_features, synth_features
+from .datagen import FeatureDataset, SynthSpec, load_features, save_features, synth_features
 from .learners import (
     AccuracyMatrix,
     BSILLite,
@@ -32,7 +32,6 @@ from .scenario import Scenario, ScenarioError, build_scenario, partition_dataset
 __all__ = [
     "AccuracyMatrix",
     "BSILLite",
-    "DatasetStats",
     "FeTrILLite",
     "FeatureDataset",
     "LearnerError",
@@ -46,7 +45,6 @@ __all__ = [
     "avg_incremental_accuracy",
     "build_scenario",
     "compute_metrics",
-    "dataset_stats",
     "final_accuracy",
     "initial_accuracy",
     "load_features",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .learners import LEARNER_KINDS
+from .learners import LEARNER_KINDS, LearnerError, make_learner
 
 SCENARIO_KINDS = ("equal", "half")
 
@@ -96,11 +96,25 @@ def validate_config(cfg: GridConfig) -> None:
     for kind in cfg.hyperparams:
         if kind not in LEARNER_KINDS:
             raise ConfigError(f"hyperparams for unknown learner {kind!r}")
+    for kind in cfg.learners:
+        try:
+            make_learner(kind, cfg.hyperparams.get(kind))
+        except LearnerError as exc:
+            raise ConfigError(f"learner {kind!r}: {exc}") from None
     for ds in cfg.datasets:
         if ds.kind == "synthetic":
             if ds.n_classes < 2 or ds.dim < 1 or ds.n_train < 1 or ds.n_test < 1:
                 raise ConfigError(f"dataset {ds.name!r}: invalid synthetic geometry")
+            for strat in cfg.strategies:
+                if ds.name in strat.paths:
+                    raise ConfigError(
+                        f"strategy {strat.name!r} names a feature file for synthetic dataset {ds.name!r}"
+                    )
         elif ds.kind == "file":
+            if ds.n_classes or ds.dim or ds.n_train or ds.n_test:
+                raise ConfigError(
+                    f"dataset {ds.name!r}: a file dataset takes no n_classes, dim, n_train or n_test"
+                )
             for strat in cfg.strategies:
                 if ds.name not in strat.paths:
                     raise ConfigError(

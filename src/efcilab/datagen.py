@@ -6,12 +6,17 @@ scaled random orthonormal frame so that every pair of means is exactly
 noise is isotropic unit Gaussian. When there are more classes than
 dimensions an exact frame is impossible and means fall back to random
 directions with matching expected spacing.
+
+A dataset is only its features, labels and train/test split. The factors
+a run reports about its dataset (class count, mean train samples per
+class, and the caller-supplied ``small``/``width`` labels) are assembled
+by the grid from the dataset and its config entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +38,6 @@ class FeatureDataset:
     features: np.ndarray  # (n, dim) float64
     labels: np.ndarray  # (n,) int64
     is_train: np.ndarray  # (n,) bool
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -46,12 +50,6 @@ class FeatureDataset:
     @property
     def class_ids(self) -> np.ndarray:
         return np.unique(self.labels)
-
-    def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[self.is_train], self.labels[self.is_train]
-
-    def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[~self.is_train], self.labels[~self.is_train]
 
     def validate(self) -> None:
         if self.features.ndim != 2 or self.features.shape[1] < 1:
@@ -90,37 +88,22 @@ class SynthSpec:
             raise DatasetError(f"separation must be >= 0, got {self.separation}")
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    """Class count and mean train samples per class, plus carried image metadata."""
-
-    n_classes: int
-    n_mean: float  # mean train samples per class
-    small: bool
-    width: float
-
-
-def class_means_frame(n_classes: int, dim: int, separation: float, rng) -> tuple[np.ndarray, str]:
+def class_means_frame(n_classes: int, dim: int, separation: float, rng) -> np.ndarray:
     """Means with pairwise distance ``separation``; exact when n_classes <= dim."""
     if n_classes <= dim:
-        gauss = rng.standard_normal((dim, n_classes))
-        q, _ = np.linalg.qr(gauss)
-        means = (separation / math.sqrt(2.0)) * q.T
-        placement = "orthonormal-frame"
-    else:
-        # Too many classes for an orthonormal frame: random unit directions,
-        # same scaling, so the expected pairwise distance matches.
-        raw = rng.standard_normal((n_classes, dim))
-        means = (separation / math.sqrt(2.0)) * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        placement = "random-directions"
-    return means, placement
+        q, _ = np.linalg.qr(rng.standard_normal((dim, n_classes)))
+        return (separation / math.sqrt(2.0)) * q.T
+    # Too many classes for an orthonormal frame: random unit directions,
+    # same scaling, so the expected pairwise distance matches.
+    raw = rng.standard_normal((n_classes, dim))
+    return (separation / math.sqrt(2.0)) * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 def synth_features(spec: SynthSpec) -> FeatureDataset:
     """Draw a dataset per ``spec``; deterministic in ``spec.seed``."""
     spec.validate()
     rng = np.random.default_rng(spec.seed & _SEED_MASK)
-    means, placement = class_means_frame(spec.n_classes, spec.dim, spec.separation, rng)
+    means = class_means_frame(spec.n_classes, spec.dim, spec.separation, rng)
 
     per_class = spec.n_train + spec.n_test
     features = np.empty((spec.n_classes * per_class, spec.dim))
@@ -132,20 +115,7 @@ def synth_features(spec: SynthSpec) -> FeatureDataset:
         labels[block] = c
         is_train[block.start : block.start + spec.n_train] = True
 
-    ds = FeatureDataset(
-        name=spec.name,
-        features=features,
-        labels=labels,
-        is_train=is_train,
-        meta={
-            "strategy": spec.strategy_tag,
-            "separation": spec.separation,
-            "mean_placement": placement,
-            "seed": spec.seed,
-            "small": False,
-            "width": 0.0,
-        },
-    )
+    ds = FeatureDataset(name=spec.name, features=features, labels=labels, is_train=is_train)
     ds.validate()
     return ds
 
@@ -158,7 +128,7 @@ def save_features(ds: FeatureDataset, path: str | Path) -> None:
             fh.write(f"{label},{'train' if train else 'test'}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
-def load_features(path: str | Path, name: str | None = None, meta: dict | None = None) -> FeatureDataset:
+def load_features(path: str | Path, name: str | None = None) -> FeatureDataset:
     """Parse a canonical feature CSV, streamed line by line; errors carry the offending line number.
 
     LF or CRLF ends a line; blank lines are skipped. Labels are integers below 2**63."""
@@ -209,23 +179,9 @@ def load_features(path: str | Path, name: str | None = None, meta: dict | None =
         features=np.stack(rows),
         labels=np.array(labels, dtype=np.int64),
         is_train=np.array(splits, dtype=bool),
-        meta=dict(meta) if meta else {},
     )
     try:
         ds.validate()
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
     return ds
-
-
-def dataset_stats(ds: FeatureDataset) -> DatasetStats:
-    """Class count and mean per-class train sample count, with the image metadata."""
-    if ds.n_samples == 0:
-        raise DatasetError("dataset is empty")
-    n_classes = len(np.unique(ds.labels))
-    return DatasetStats(
-        n_classes=n_classes,
-        n_mean=float(np.count_nonzero(ds.is_train) / n_classes),
-        small=bool(ds.meta.get("small", False)),
-        width=float(ds.meta.get("width", 0.0)),
-    )

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import GridConfig, config_hash, stable_seed
-from .datagen import FeatureDataset, SynthSpec, dataset_stats, load_features, synth_features
+from .datagen import FeatureDataset, SynthSpec, load_features, synth_features
 from .learners import AccuracyMatrix, run_incremental
 from .metrics import compute_metrics
 from .scenario import build_scenario
@@ -108,17 +108,12 @@ def materialize_dataset(cfg: GridConfig, data_name: str, train_name: str, rep: i
                 n_train=ds_spec.n_train,
                 n_test=ds_spec.n_test,
                 separation=strat.separation,
-                strategy_tag=train_name,
                 seed=seed,
                 name=data_name,
             )
         )
     else:
-        ds = load_features(
-            strat.paths[data_name],
-            name=data_name,
-            meta={"small": ds_spec.small, "width": ds_spec.width, "strategy": train_name},
-        )
+        ds = load_features(strat.paths[data_name], name=data_name)
     for array in (ds.features, ds.labels, ds.is_train):
         array.setflags(write=False)
     return ds
@@ -134,20 +129,21 @@ def run_single(
     )
     matrix = run_incremental(spec.incr, ds, sc, cfg.hyperparams.get(spec.incr, {}))
 
-    stats = dataset_stats(ds)
     metrics = compute_metrics(matrix, sc.initial_fraction)
+    n = len(ds.class_ids)
     n1 = int(np.isin(ds.labels[ds.is_train], sc.steps[0]).sum())
+    ds_spec = cfg.dataset(spec.data)
     record = RunRecord(
         run_id=spec.run_id,
         data=spec.data,
         train=spec.train,
         incr=spec.incr,
         scenario_b=1 if spec.scenario == "half" else 0,
-        n=stats.n_classes,
+        n=n,
         n1=n1,
-        n_mean=stats.n_mean,
-        small=int(stats.small),
-        width=stats.width,
+        n_mean=float(np.count_nonzero(ds.is_train) / n),
+        small=int(bool(ds_spec.small)),
+        width=float(ds_spec.width),
         acc1=metrics.acc1,
         avg_acc=metrics.avg_acc,
         forgetting=metrics.forgetting,

@@ -1,5 +1,5 @@
-"""Shared factories: per-step learner inputs, and the run-record tables and
-designs used by the stats tests."""
+"""Shared factories: a dataset's split and per-step learner inputs, and the
+run-record tables and designs used by the stats tests."""
 
 from operator import attrgetter
 
@@ -14,6 +14,12 @@ from efcilab.stats.design import (
     RunRecord,
     column_table,
 )
+
+
+def split_arrays(ds, train: bool):
+    """``(features, labels)`` of the train rows of ``ds``, or of its test rows."""
+    rows = ds.is_train if train else ~ds.is_train
+    return ds.features[rows], ds.labels[rows]
 
 
 def step_arrays(ds, sc):

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _factories import make_table, record_table
+from _factories import make_table, record_table, split_arrays
 from efcilab.analyze import build_report_bundle
 from efcilab.config import default_config
 from efcilab.datagen import SynthSpec, synth_features
@@ -284,7 +284,7 @@ def test_criterion_06_dslda_streaming_equals_batch():
                 seed=3000 + trial,
             )
         )
-        x, y = ds.train_arrays()
+        x, y = split_arrays(ds, train=True)
         order = rng.permutation(len(y))
         learner = StreamingLDA(shrinkage=1e-4)
         learner.learn_step(x[order], y[order])
@@ -301,7 +301,7 @@ def test_criterion_06_dslda_streaming_equals_batch():
             float(np.max(np.abs(w - w_ref)) / np.max(np.abs(w_ref))),
             float(np.max(np.abs(b - b_ref)) / np.max(np.abs(b_ref))),
         )
-        tx, _ = ds.test_arrays()
+        tx, _ = split_arrays(ds, train=False)
         ref_pred = ids[np.argmax(tx @ w_ref.T + b_ref, axis=1)]
         all_agree &= bool(np.array_equal(learner.predict(tx), ref_pred))
     _verdict(

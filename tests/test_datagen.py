@@ -1,4 +1,4 @@
-"""Synthetic feature generation, CSV round trips, dataset statistics."""
+"""Synthetic feature generation and CSV round trips."""
 
 import math
 import tracemalloc
@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _factories import split_arrays
 from efcilab.datagen import (
     DatasetError,
     FeatureDataset,
     SynthSpec,
-    dataset_stats,
+    class_means_frame,
     load_features,
     save_features,
     synth_features,
@@ -19,7 +20,7 @@ from efcilab.datagen import (
 
 def batch_lda_accuracy(ds) -> float:
     """Independent batch-LDA oracle: fit on train, score on test."""
-    x, y = ds.train_arrays()
+    x, y = split_arrays(ds, train=True)
     ids = np.unique(y)
     mu = np.stack([x[y == c].mean(axis=0) for c in ids])
     centered = x - mu[np.searchsorted(ids, y)]
@@ -27,7 +28,7 @@ def batch_lda_accuracy(ds) -> float:
     lam = np.linalg.inv(0.999 * sigma + 0.001 * np.eye(ds.dim))
     w = mu @ lam
     b = -0.5 * np.einsum("ij,ij->i", w, mu)
-    tx, ty = ds.test_arrays()
+    tx, ty = split_arrays(ds, train=False)
     pred = ids[np.argmax(tx @ w.T + b, axis=1)]
     return float((pred == ty).mean())
 
@@ -46,7 +47,7 @@ def test_zero_separation_gives_chance_accuracy():
 def test_pairwise_mean_distances_match_separation():
     spec = SynthSpec(n_classes=5, dim=12, n_train=400, n_test=5, separation=3.0, seed=3)
     ds = synth_features(spec)
-    x, y = ds.train_arrays()
+    x, y = split_arrays(ds, train=True)
     mu = np.stack([x[y == c].mean(axis=0) for c in range(5)])
     for i in range(5):
         for j in range(i + 1, 5):
@@ -58,22 +59,29 @@ def test_class_means_converge_componentwise():
     for seed in range(10):
         spec = SynthSpec(n_classes=3, dim=6, n_train=64, n_test=2, separation=2.0, seed=seed)
         ds = synth_features(spec)
-        rng = np.random.default_rng(seed)
-        from efcilab.datagen import class_means_frame
-
-        means, _ = class_means_frame(3, 6, 2.0, rng)
-        x, y = ds.train_arrays()
+        means = class_means_frame(3, 6, 2.0, np.random.default_rng(seed))
+        x, y = split_arrays(ds, train=True)
         bound = 5.0 / math.sqrt(64)
         for c in range(3):
             emp = x[y == c].mean(axis=0)
             assert np.all(np.abs(emp - means[c]) <= bound)
 
 
+def _pairwise_distances(means):
+    i, j = np.triu_indices(len(means), k=1)
+    return np.linalg.norm(means[i] - means[j], axis=1)
+
+
 def test_more_classes_than_dims_uses_random_placement():
-    ds = synth_features(SynthSpec(n_classes=10, dim=4, n_train=3, n_test=2, separation=5.0, seed=0))
-    assert ds.meta["mean_placement"] == "random-directions"
-    ds2 = synth_features(SynthSpec(n_classes=4, dim=4, n_train=3, n_test=2, separation=5.0, seed=0))
-    assert ds2.meta["mean_placement"] == "orthonormal-frame"
+    rng = np.random.default_rng(0)
+    # while the classes fit the dimensions, every pair of means is exactly `separation` apart
+    for n_classes in (2, 4):
+        frame = class_means_frame(n_classes, 4, 5.0, rng)
+        assert np.all(np.abs(_pairwise_distances(frame) - 5.0) <= 1e-12)
+    # beyond that, random directions at the frame's radius separation / sqrt(2)
+    scattered = class_means_frame(10, 4, 5.0, rng)
+    assert np.all(np.abs(np.linalg.norm(scattered, axis=1) - 5.0 / math.sqrt(2.0)) <= 1e-12)
+    assert np.ptp(_pairwise_distances(scattered)) > 1.0
 
 
 def test_same_seed_same_bytes(tmp_path):
@@ -174,43 +182,3 @@ def test_csv_save_and_load_stream_their_rows(tmp_path):
     assert np.array_equal(back.features, ds.features)
     assert save_peak < ds.features.nbytes
     assert load_peak < 4 * ds.features.nbytes
-
-
-def test_dataset_stats_balanced():
-    ds = synth_features(SynthSpec(n_classes=4, dim=3, n_train=250, n_test=50, separation=1.0, seed=0))
-    stats = dataset_stats(ds)
-    assert stats.n_classes == 4
-    assert stats.n_mean == 250.0
-    assert stats.small is False and stats.width == 0.0
-
-
-def test_dataset_stats_single_class():
-    features = np.arange(12, dtype=float).reshape(6, 2)
-    ds = FeatureDataset(
-        name="one",
-        features=features,
-        labels=np.zeros(6, dtype=np.int64),
-        is_train=np.array([True] * 5 + [False]),
-    )
-    stats = dataset_stats(ds)
-    assert (stats.n_classes, stats.n_mean) == (1, 5.0)
-
-
-def test_dataset_stats_mean_of_unbalanced_counts():
-    # train counts {10, 20} -> mean 15
-    labels = np.array([0] * 12 + [1] * 22, dtype=np.int64)
-    is_train = np.array([True] * 10 + [False] * 2 + [True] * 20 + [False] * 2)
-    features = np.zeros((34, 2))
-    ds = FeatureDataset(name="two", features=features, labels=labels, is_train=is_train)
-    stats = dataset_stats(ds)
-    assert (stats.n_classes, stats.n_mean) == (2, 15.0)
-
-
-def test_dataset_stats_counts_a_class_missing_from_a_split_as_zero():
-    # class 3 has no test rows, class 7 no train rows (first and middle ids)
-    labels = np.array([3, 3, 7, 7, 9, 9], dtype=np.int64)
-    is_train = np.array([True, True, False, False, True, False])
-    ds = FeatureDataset(name="gaps", features=np.zeros((6, 1)), labels=labels, is_train=is_train)
-    stats = dataset_stats(ds)
-    assert stats.n_classes == 3
-    assert stats.n_mean == 1.0  # train counts 2, 0, 1

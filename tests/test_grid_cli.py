@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from efcilab.config import (
     write_config,
 )
 from efcilab import grid
-from efcilab.datagen import SynthSpec, save_features, synth_features
+from efcilab.datagen import FeatureDataset, SynthSpec, save_features, synth_features
 from efcilab.grid import (
     ResultsError,
     ResultsTable,
@@ -139,6 +140,34 @@ def test_config_validation_errors():
         config_from_dict(
             config_to_dict(toy_config(datasets=(DatasetSpec(name="ext", kind="file"),)))
         )
+    # a synthetic dataset is drawn, never read: a feature file for it would go unread
+    with pytest.raises(ConfigError, match="synthetic dataset 'tiny1'"):
+        config_from_dict(config_to_dict(toy_config(strategies=(
+            StrategySpec(name="s-lo", separation=1.5, paths={"tiny1": "tiny1.csv"}),
+        ))))
+    # a file dataset's geometry is the file's: a declared one would go unread
+    for geometry in ({"n_classes": 10}, {"dim": 4}, {"n_train": 5}, {"n_test": 3}):
+        with pytest.raises(ConfigError, match="dataset 'ext': a file dataset takes no"):
+            config_from_dict(config_to_dict(toy_config(
+                datasets=(DatasetSpec(name="ext", kind="file", **geometry),),
+                strategies=(StrategySpec(name="emb", paths={"ext": "ext.csv"}),),
+            )))
+    # hyperparameters every run of a learner would reject fail at load, naming the learner
+    for hyperparams, pattern in (
+        ({"ncm": {"epochs": 5}}, "learner 'ncm': invalid hyperparameters"),
+        ({"dslda": {"shrinkage": -2.0}}, "learner 'dslda': shrinkage must lie in"),
+    ):
+        with pytest.raises(ConfigError, match=pattern):
+            config_from_dict(config_to_dict(toy_config(hyperparams=hyperparams)))
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config schema", 1)[1]
+    path = tmp_path / "readme.yaml"
+    path.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    cfg = load_config(path)
+    assert {d.kind for d in cfg.datasets} == {"synthetic", "file"}
 
 
 def test_default_config_is_valid_and_sized_as_shipped():
@@ -164,6 +193,38 @@ def test_run_single_produces_consistent_record():
     classes_step1 = 5 if spec.scenario == "half" else 2
     n_train = 6 if spec.data == "tiny1" else 5
     assert record.n1 == classes_step1 * n_train
+
+
+def test_run_single_reports_class_count_and_mean_train_count(tmp_path):
+    # a file dataset with train counts 3, 5, 2 and 6 (mean 4) and one test row per class
+    train_counts = (3, 5, 2, 6)
+    labels = np.repeat(np.arange(4, dtype=np.int64), [n + 1 for n in train_counts])
+    is_train = np.concatenate([[True] * n + [False] for n in train_counts])
+    features = np.random.default_rng(0).standard_normal((len(labels), 3))
+    path = tmp_path / "ext.csv"
+    save_features(FeatureDataset(name="ext", features=features, labels=labels, is_train=is_train), path)
+    cfg = toy_config(
+        datasets=(DatasetSpec(name="ext", kind="file", small=True, width=32.0),),
+        strategies=(StrategySpec(name="emb", paths={"ext": str(path)}),),
+        learners=("ncm",),
+        n_incr_steps=2,
+    )
+    for spec in enumerate_runs(cfg):
+        record, _ = run_single(cfg, spec, materialize_dataset(cfg, spec.data, spec.train, spec.rep))
+        assert (record.n, record.n_mean, record.small, record.width) == (4, 4.0, 1, 32.0)
+
+
+def test_synthetic_dataset_writes_its_configured_small_and_width(tmp_path):
+    cfg = toy_config(
+        datasets=(DatasetSpec(name="tiny1", n_classes=10, dim=6, n_train=6, n_test=3,
+                              small=True, width=2.5),),
+        strategies=(StrategySpec(name="s-mid", separation=3.0),),
+        learners=("ncm",),
+        scenarios=("equal",),
+    )
+    header, row = write_results(run_grid(cfg), tmp_path).read_text().splitlines()[1:]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert [values[k] for k in ("N", "n_mean", "small", "width")] == ["10", "6.0", "1", "2.5"]
 
 
 def test_grid_results_deterministic_and_parallel_equivalent(tmp_path):
@@ -408,9 +469,23 @@ def test_cli_grid_then_analyze_then_report(tmp_path, capsys):
 
 
 def test_cli_grid_partial_failure_exit_code(tmp_path):
-    cfg_path = write_toy_config(tmp_path, hyperparams={"dslda": {"shrinkage": -2.0}})
+    # the config loads; one strategy's feature file is missing when its runs start
+    good = tmp_path / "good.csv"
+    save_features(synth_features(SynthSpec(n_classes=10, dim=4, n_train=5, n_test=3,
+                                           separation=3.0, seed=0)), good)
+    cfg_path = write_toy_config(
+        tmp_path,
+        datasets=(DatasetSpec(name="ext", kind="file"),),
+        strategies=(
+            StrategySpec(name="good", paths={"ext": str(good)}),
+            StrategySpec(name="gone", paths={"ext": str(tmp_path / "gone.csv")}),
+        ),
+        learners=("ncm",),
+    )
     out = tmp_path / "out"
     assert main(["grid", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert load_results(out / "results.csv").columns["train"].tolist() == ["good", "good"]
+    assert (out / "failures.csv").exists()
 
 
 def test_cli_invalid_config_exit_code(tmp_path):

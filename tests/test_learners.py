@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _factories import step_arrays
+from _factories import split_arrays, step_arrays
 from efcilab import learners
 from efcilab.datagen import FeatureDataset, SynthSpec, synth_features
 from efcilab.learners import (
@@ -50,7 +50,7 @@ def test_streaming_matches_batch_lda():
         ds = synth_features(
             SynthSpec(n_classes=5, dim=7, n_train=25, n_test=10, separation=3.0, seed=trial)
         )
-        x, y = ds.train_arrays()
+        x, y = split_arrays(ds, train=True)
         order = rng.permutation(len(y))
         learner = StreamingLDA(shrinkage=1e-4)
         learner.learn_step(x[order], y[order])
@@ -59,14 +59,14 @@ def test_streaming_matches_batch_lda():
         assert np.array_equal(ids, ids2)
         assert np.max(np.abs(w - w2)) <= 1e-6 * np.max(np.abs(w2))
         assert np.max(np.abs(b - b2)) <= 1e-6 * np.max(np.abs(b2))
-        tx, _ = ds.test_arrays()
+        tx, _ = split_arrays(ds, train=False)
         oracle_pred = ids2[np.argmax(tx @ w2.T + b2, axis=1)]
         assert np.array_equal(learner.predict(tx), oracle_pred)
 
 
 def test_streaming_scatter_equals_batch_scatter():
     ds = synth_features(SynthSpec(n_classes=4, dim=6, n_train=40, n_test=2, separation=2.0, seed=3))
-    x, y = ds.train_arrays()
+    x, y = split_arrays(ds, train=True)
     learner = StreamingLDA()
     learner.learn_step(x, y)
     _, _, _, sigma = batch_lda_params(x, y, 0.0)
@@ -76,7 +76,7 @@ def test_streaming_scatter_equals_batch_scatter():
 
 def test_streaming_order_invariance():
     ds = synth_features(SynthSpec(n_classes=3, dim=5, n_train=30, n_test=2, separation=2.0, seed=4))
-    x, y = ds.train_arrays()
+    x, y = split_arrays(ds, train=True)
     a, b = StreamingLDA(), StreamingLDA()
     a.learn_step(x, y)
     order = np.random.default_rng(1).permutation(len(y))
@@ -88,7 +88,7 @@ def test_streaming_order_invariance():
 
 def test_streaming_merge_across_steps_matches_batch():
     ds = synth_features(SynthSpec(n_classes=4, dim=6, n_train=30, n_test=2, separation=2.0, seed=6))
-    x, y = ds.train_arrays()
+    x, y = split_arrays(ds, train=True)
     rng = np.random.default_rng(2)
     # each class's rows go to 3 calls in uneven blocks: 1 row, then a random cut of the rest
     step_of = np.empty(len(y), dtype=np.int64)
@@ -114,12 +114,12 @@ def test_streaming_merge_across_steps_matches_batch():
 
 def test_dslda_shrinkage_one_equals_nearest_mean():
     ds = synth_features(SynthSpec(n_classes=4, dim=5, n_train=10, n_test=20, separation=1.0, seed=5))
-    x, y = ds.train_arrays()
+    x, y = split_arrays(ds, train=True)
     slda = StreamingLDA(shrinkage=1.0)
     ncm = NearestClassMean()
     slda.learn_step(x, y)
     ncm.learn_step(x, y)
-    tx, _ = ds.test_arrays()
+    tx, _ = split_arrays(ds, train=False)
     assert np.array_equal(slda.predict(tx), ncm.predict(tx))
 
 
@@ -742,6 +742,35 @@ def test_run_incremental_holds_one_step_of_rows_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < every_step / 2
+
+
+def _held_arrays(learner):
+    """Every array a learner holds: its array attributes and its dicts' array values."""
+    held = []
+    for value in vars(learner).values():
+        values = value.values() if isinstance(value, dict) else [value]
+        held += [v for v in values if isinstance(v, np.ndarray)]
+    return held
+
+
+@pytest.mark.parametrize("kind", learners.LEARNER_KINDS)
+def test_learner_state_is_exemplar_free(kind):
+    # the same 9 classes over the same 3 steps, with 1x and 3x the samples per
+    # class: the learner must hold the same bytes, none of them an input's
+    sc = Scenario(kind="equal", steps=((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    held_bytes = []
+    for n_train in (4, 12):
+        ds = synth_features(SynthSpec(n_classes=9, dim=8, n_train=n_train, n_test=2, separation=3.0, seed=5))
+        learner = learners.make_learner(kind, {"epochs": 5} if kind in ("fetril", "bsil") else None)
+        inputs = []
+        for x, y, _, _ in step_arrays(ds, sc):
+            learner.learn_step(x, y)
+            inputs += [x, y]
+        held = _held_arrays(learner)
+        assert held
+        assert not any(np.shares_memory(a, b) for a in held for b in inputs)
+        held_bytes.append(sum(a.nbytes for a in held))
+    assert held_bytes[0] == held_bytes[1]
 
 
 def test_run_incremental_is_deterministic():
