@@ -11,8 +11,9 @@ diagnostics' formula, R^2, AIC and Gram check, and the coefficient table,
 which comes from the fit's arrays. ``build_report_bundle`` takes the column
 table that the CLI codes from the loader's columns (pairwise subgroups are
 masked takes of it); every section fits through the table's memo, so each
-distinct model is fitted once per bundle. The diagnostics encode the
-selected model once, for both the residual point sets and the Gram check.
+distinct model is fitted once per bundle, from one factorisation per table.
+The diagnostics encode the selected model once, for the residual point
+sets; the Gram check reads the fit's R.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _add_diagnostics(bundle, table: RecordTable, usable_responses, warnings) -> 
         "r_squared": fit.r_squared,
         "aic": fit.aic,
         **_as_json(diagnostics(fit, design)),
-        "gram": _as_json(gram_min_eigenvalue(design)),
+        "gram": _as_json(gram_min_eigenvalue(fit.r)),
     }
 
 

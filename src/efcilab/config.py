@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -66,7 +68,36 @@ class GridConfig:
         raise ConfigError(f"unknown strategy {name!r}")
 
 
+_NUMBER_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false"}
+
+
+def _check_numbers(spec, owner: str = "") -> None:
+    """Reject a number field holding the wrong type; nothing is coerced.
+
+    An int field takes an integer but not a bool, a float field a finite
+    integer or float, and a bool field a bool.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type == "bool":
+            ok = isinstance(value, bool)
+        elif f.type == "int":
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        elif f.type == "float":
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{owner}{f.name} must be {_NUMBER_KINDS[f.type]}, got {value!r}")
+
+
 def validate_config(cfg: GridConfig) -> None:
+    _check_numbers(cfg)
+    for ds in cfg.datasets:
+        _check_numbers(ds, f"dataset {ds.name!r}: ")
+    for strat in cfg.strategies:
+        _check_numbers(strat, f"strategy {strat.name!r}: ")
     names = [d.name for d in cfg.datasets]
     if not names:
         raise ConfigError("config declares no datasets")
@@ -140,9 +171,9 @@ def config_from_dict(data: dict) -> GridConfig:
             strategies=tuple(StrategySpec(**s) for s in data["strategies"]),
             learners=tuple(data["learners"]),
             scenarios=tuple(data["scenarios"]),
-            n_incr_steps=int(data["n_incr_steps"]),
-            repetitions=int(data["repetitions"]),
-            base_seed=int(data["base_seed"]),
+            n_incr_steps=data["n_incr_steps"],
+            repetitions=data["repetitions"],
+            base_seed=data["base_seed"],
             hyperparams=dict(data.get("hyperparams", {})),
         )
     except (KeyError, TypeError) as exc:

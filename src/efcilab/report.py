@@ -7,9 +7,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 
 from .stats.analysis import AnovaRow, ModelCandidate, ScreeningRow
-from .stats.distributions import inv_norm_cdf
 from .stats.regression import GramDiagnostic
 
 FORMATS = ("csv", "md", "svg")
@@ -96,17 +96,54 @@ def coefficient_table(coef: dict) -> Table:
     )
 
 
-def diagnostic_tables(diag) -> dict[str, Table]:
+class _Blank:
+    """A missing value: formats as an empty cell under any spec, as ``_fmt`` prints None."""
+
+    def __format__(self, spec: str) -> str:
+        return ""
+
+
+_BLANK = _Blank()
+
+
+def _cells(values: list) -> list:
+    return [_BLANK if v is None else v for v in values] if None in values else values
+
+
+@dataclass(frozen=True)
+class Points:
+    """One diagnostic point set: the ``x`` and ``y`` float columns of a CSV file.
+
+    ``csv`` prints what ``Table.csv`` prints for the rows ``zip(x, y)`` (the
+    cells of ``_fmt``: ``.6g``, None empty) with one format call per row.
+    """
+
+    header: list[str]
+    x: list
+    y: list
+
+    def csv(self) -> str:
+        rows = map("{:.6g},{:.6g}\n".format, _cells(self.x), _cells(self.y))
+        return ",".join(self.header) + "\n" + "".join(rows)
+
+
+def diagnostic_tables(diag) -> dict[str, Points]:
     """Q-Q, scale-location and leverage points: normal quantiles at (i - 1/2)/n
     against the sorted standardized residuals, sqrt|residual| against fitted."""
     resid, n = diag["std_residuals"], len(diag["std_residuals"])
-    qq = [[inv_norm_cdf((i + 0.5) / n), r] for i, r in enumerate(sorted(resid))]
-    scale = [[f, math.sqrt(abs(r))] for f, r in zip(diag["fitted"], resid)]
-    leverage = zip(diag["leverage"], resid)
+    quantile = NormalDist().inv_cdf
     return {
-        "qq": Table(["theoretical_quantile", "standardized_residual"], qq),
-        "scale_location": Table(["fitted", "sqrt_abs_standardized_residual"], scale),
-        "leverage": Table(["leverage", "standardized_residual"], [[h, r] for h, r in leverage]),
+        "qq": Points(
+            ["theoretical_quantile", "standardized_residual"],
+            [quantile((i + 0.5) / n) for i in range(n)],
+            sorted(resid),
+        ),
+        "scale_location": Points(
+            ["fitted", "sqrt_abs_standardized_residual"],
+            diag["fitted"],
+            [math.sqrt(abs(r)) for r in resid],
+        ),
+        "leverage": Points(["leverage", "standardized_residual"], diag["leverage"], resid),
     }
 
 
@@ -231,8 +268,9 @@ def render_heatmap_svg(pw: dict) -> str:
 
 
 def write_bundle_json(bundle: dict, path: str | Path) -> None:
+    """One line of JSON with sorted keys (no indent, so ``json`` runs its C encoder)."""
     Path(path).write_text(
-        json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+        json.dumps(bundle, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
     )
 
 

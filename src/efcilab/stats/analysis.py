@@ -9,6 +9,8 @@ and covariance and gate significance with a Bonferroni-corrected
 threshold over unordered pairs. Every function takes one ``RecordTable``
 and fits through ``fit_model``, the table's fit memo: each distinct model
 is fitted once per table and shared, so callers must not modify its fits.
+A table takes one tall factorisation, of its column bank; every model
+whose columns are all in the bank is fitted from that bank's R.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import DesignError, Formula, RecordTable, encode_design, parse_formula
+from .design import DesignError, Formula, RecordTable, design_layout, encode_design, parse_formula
 from .distributions import f_pvalue
 from .linalg import RankDeficientError
 from .regression import RegressionFit, exact_fit_tolerance, ols_fit
@@ -33,6 +35,11 @@ def fit_model(
 ) -> RegressionFit:
     """OLS fit of ``formula``, memoised on ``table``.
 
+    The fit reads the columns of ``table.bank``'s R that match its design's
+    columns and response, so no n-row matrix is formed per model. A design
+    with a column the bank lacks (a product term, or a reference level other
+    than the first) is encoded and factored on its own instead.
+
     The key is (response, terms, reference levels), so callers that share a
     table fit each distinct model once and get the same fit object, which
     they must not modify. A model that cannot be fitted raises again without
@@ -44,7 +51,11 @@ def fit_model(
     key = (formula.response, formula.terms, tuple(sorted(refs.items())))
     if key not in table.fits:
         try:
-            table.fits[key] = ols_fit(encode_design(table, formula, refs))
+            design, factors = design_layout(table, formula, refs)
+            r_xy = table.bank.columns(factors + [((formula.response, None),)])
+            if r_xy is None:
+                design = encode_design(table, formula, refs)
+            table.fits[key] = ols_fit(design, r_xy)
         except (DesignError, RankDeficientError) as exc:
             # a copy has no traceback or context: the memo pins none of the call's frames
             table.fits[key] = copy.copy(exc)

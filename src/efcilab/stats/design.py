@@ -7,14 +7,20 @@ their sorted levels.
 Categorical factors are one-hot encoded with a dropped reference level;
 numeric and binary factors enter as single columns. Column order is
 deterministic: intercept first, then terms in declaration order with
-levels sorted lexicographically.
+levels sorted lexicographically. A design's layout (labels and the
+factors of each column) is built apart from its n-row matrix, so a fit
+can read the matching columns of the table's factored column bank
+(``RecordTable.bank``) without forming that matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
+
+from .linalg import r_factor
 
 
 class DesignError(ValueError):
@@ -76,11 +82,15 @@ def parse_formula(text: str) -> Formula:
 
 @dataclass
 class DesignMatrix:
-    """Response vector and encoded regressor matrix with column metadata."""
+    """Response vector and encoded regressor matrix with column metadata.
+
+    ``x`` is None in a ``design_layout``: a design whose fit reads its
+    table's column bank never forms its n-row matrix.
+    """
 
     formula: Formula
     y: np.ndarray
-    x: np.ndarray
+    x: np.ndarray | None
     column_labels: list[str]
     term_columns: dict[str, list[int]]  # term -> column indices (intercept under "intercept")
     reference_levels: dict[str, str]
@@ -88,11 +98,30 @@ class DesignMatrix:
 
     @property
     def n(self) -> int:
-        return int(self.x.shape[0])
+        return len(self.y)
 
     @property
     def p(self) -> int:
-        return int(self.x.shape[1])
+        return len(self.column_labels)
+
+
+@dataclass(frozen=True)
+class ColumnBank:
+    """R of one R-only QR of a table's column bank: the intercept, every
+    main-effect column of each record variable with at least two levels
+    (default reference levels) and every numeric column, responses included.
+
+    A model over bank columns is fitted from the matching columns of ``r``,
+    which have the Gram matrix and column norms of its ``[X | y]``.
+    """
+
+    index: dict[tuple, int]  # a column's factors -> its column of ``r``
+    r: np.ndarray
+
+    def columns(self, factors: list[tuple]) -> np.ndarray | None:
+        """The columns of ``r`` for these column factors; None if one is not in the bank."""
+        idx = [self.index.get(f) for f in factors]
+        return None if None in idx else self.r[:, idx]
 
 
 class RecordTable:
@@ -100,12 +129,25 @@ class RecordTable:
 
     Numeric variables are floats; categorical ones are codes into
     ``levels[var]``, their sorted distinct values. ``fits`` memoises the
-    model fits over these rows (``stats.analysis.fit_model``).
+    model fits over these rows and ``bank`` holds the one factorisation
+    they are read from (``stats.analysis.fit_model``).
     """
 
     def __init__(self, columns: dict[str, np.ndarray], levels: dict[str, tuple[str, ...]]):
         self.columns, self.levels, self.fits = columns, levels, {}
         self.n = len(columns[RECORD_VARIABLES[0]])
+
+    @cached_property
+    def bank(self) -> ColumnBank:
+        """The table's column bank, factored on first use: the one tall QR its fits need."""
+        factors: list[tuple] = [()]
+        for var in RECORD_VARIABLES:
+            if var in CATEGORICAL_VARS:
+                factors += [((var, code),) for code in range(1, len(self.levels[var]))]
+            else:
+                factors.append(((var, None),))
+        bank = np.array([_column(self, f) for f in factors]).T
+        return ColumnBank({f: i for i, f in enumerate(factors)}, r_factor(bank))
 
     def take(self, mask: np.ndarray) -> RecordTable:
         """The rows where ``mask`` is True, with only the levels they use."""
@@ -145,11 +187,12 @@ def _expand_variable(
     var: str,
     reference_levels: dict[str, str],
     levels_out: dict[str, tuple[str, ...]],
-) -> list[tuple[str, np.ndarray]]:
-    """Columns for one variable: indicators per non-reference level, or the raw values."""
+) -> list[tuple[str, tuple]]:
+    """Labels and factors of one variable's columns: an indicator per
+    non-reference level, or the raw values."""
     _check_variable(var)
     if var not in CATEGORICAL_VARS:
-        return [(var, table.columns[var])]
+        return [(var, ((var, None),))]
     levels = table.levels[var]
     if len(levels) < 2:
         raise DesignError(
@@ -163,20 +206,27 @@ def _expand_variable(
             f"(levels: {list(levels)})"
         )
     reference_levels[var] = ref
-    codes = table.columns[var]
-    return [
-        (f"{var}[{lvl}]", (codes == code).astype(float))
-        for code, lvl in enumerate(levels)
-        if lvl != ref
-    ]
+    return [(f"{var}[{lvl}]", ((var, code),)) for code, lvl in enumerate(levels) if lvl != ref]
 
 
-def encode_design(
+def _column(table: RecordTable, factors: tuple) -> np.ndarray:
+    """The product of a column's factors: (variable, level code) is that
+    level's indicator, (variable, None) the variable's values, and the
+    intercept is the empty product."""
+    column = np.ones(table.n)
+    for var, code in factors:
+        values = table.columns[var]
+        column = column * (values if code is None else values == code)
+    return column
+
+
+def design_layout(
     table: RecordTable,
     formula: Formula | str,
     reference_levels: dict[str, str] | None = None,
-) -> DesignMatrix:
-    """Build the treatment-coded design matrix for ``formula`` over ``table``'s rows."""
+) -> tuple[DesignMatrix, list[tuple]]:
+    """``formula``'s treatment-coded design over ``table`` without its matrix
+    (``x`` is None), and each column's factors (see ``_column``)."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
     if table.n == 0:
@@ -187,10 +237,9 @@ def encode_design(
     if formula.response in CATEGORICAL_VARS:
         raise DesignError(f"response {formula.response!r} must be numeric")
     _check_variable(formula.response)
-    y = table.columns[formula.response]
 
     labels: list[str] = ["intercept"]
-    columns: list[np.ndarray] = [np.ones(table.n)]
+    factors: list[tuple] = [()]
     term_columns: dict[str, list[int]] = {"intercept": [0]}
     for term in formula.terms:
         parts = term.split(":")
@@ -200,30 +249,38 @@ def encode_design(
             left = _expand_variable(table, parts[0], refs, levels)
             right = _expand_variable(table, parts[1], refs, levels)
             expanded = [
-                (f"{lname}:{rname}", lcol * rcol)
-                for lname, lcol in left
-                for rname, rcol in right
+                (f"{lname}:{rname}", lfactors + rfactors)
+                for lname, lfactors in left
+                for rname, rfactors in right
             ]
         else:
             raise DesignError(f"term {term!r}: only two-way products are supported")
-        idx = []
-        for label, col in expanded:
-            idx.append(len(columns))
+        term_columns[term] = list(range(len(labels), len(labels) + len(expanded)))
+        for label, column_factors in expanded:
             labels.append(label)
-            columns.append(col)
-        term_columns[term] = idx
+            factors.append(column_factors)
 
-    x = np.array(columns).T  # Fortran order, the layout LAPACK factors
-    if x.shape[0] <= x.shape[1]:
-        raise DesignError(
-            f"underdetermined design: {x.shape[0]} rows for {x.shape[1]} parameters"
-        )
-    return DesignMatrix(
+    if table.n <= len(labels):
+        raise DesignError(f"underdetermined design: {table.n} rows for {len(labels)} parameters")
+    design = DesignMatrix(
         formula=formula,
-        y=y,
-        x=x,
+        y=table.columns[formula.response],
+        x=None,
         column_labels=labels,
         term_columns=term_columns,
         reference_levels=refs,
         levels=levels,
     )
+    return design, factors
+
+
+def encode_design(
+    table: RecordTable,
+    formula: Formula | str,
+    reference_levels: dict[str, str] | None = None,
+) -> DesignMatrix:
+    """Build the treatment-coded design matrix for ``formula`` over ``table``'s rows."""
+    design, factors = design_layout(table, formula, reference_levels)
+    # the transpose is in Fortran order, the layout LAPACK factors
+    design.x = np.array([_column(table, f) for f in factors]).T
+    return design

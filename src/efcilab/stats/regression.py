@@ -2,8 +2,12 @@
 
 A fit holds estimates only; ``diagnostics(fit, design)`` computes the
 per-row fitted values, residuals and leverages from the fit's design.
-The numerics are numpy's LAPACK: an R-only QR of ``[X | y]`` per fit, a
-thin QR's Q for the leverages, and ``eigvalsh`` for the Gram check.
+A fit reads ``[X | y]`` only through R columns (any ``Q^T [X | y]`` with Q
+orthonormal): a table's column bank supplies them, or a design's own
+``[X | y]`` is factored once. One small QR of those columns then gives
+the coefficients, R and the residual sum of squares (its last diagonal
+entry, squared). The numerics are numpy's LAPACK: the leverages are the
+row sums of ``(X R^-1)^2`` and the Gram check is ``eigvalsh(R^T R)``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .design import DesignMatrix
 from .distributions import f_pvalue, student_t_pvalue
-from .linalg import RankDeficientError, hat_diagonal, least_squares, qr_factor, unscaled_covariance
+from .linalg import RankDeficientError, hat_diagonal, least_squares, r_factor, unscaled_covariance
 
 
 @dataclass
@@ -76,24 +80,29 @@ def exact_fit_tolerance(y: np.ndarray) -> float:
     return 1e-24 * max(sst, float(y @ y), 1e-300)
 
 
-def ols_fit(design: DesignMatrix) -> RegressionFit:
-    """Fit by QR; raise naming the columns that depend on earlier ones."""
-    x, y = design.x, design.y
-    n, p = x.shape
+def ols_fit(design: DesignMatrix, r_xy: np.ndarray | None = None) -> RegressionFit:
+    """Fit by QR; raise naming the columns that depend on earlier ones.
+
+    ``r_xy`` holds the R columns of the design's ``[X | y]``, as
+    ``ColumnBank.columns`` gives them; without it ``[X | y]`` is factored here.
+    Both go through the same small least-squares problem.
+    """
+    y = design.y
+    n, p = design.n, design.p
     if n <= p:
         raise RankDeficientError(
             f"underdetermined design: {n} rows for {p} parameters", list(range(p))
         )
+    if r_xy is None:
+        r_xy = r_factor(np.column_stack([design.x, y]))
     try:
-        beta, r = least_squares(x, y)
+        beta, r, ssr = least_squares(r_xy[:, :p], r_xy[:, p], rows=n)
     except RankDeficientError as exc:
         names = [design.column_labels[i] for i in exc.column_indices]
         raise RankDeficientError(
             f"collinear design columns: {names}", exc.column_indices
         ) from None
 
-    residuals = y - x @ beta
-    ssr = float(residuals @ residuals)
     sst = float(np.sum((y - y.mean()) ** 2))
     if ssr <= exact_fit_tolerance(y):
         ssr = 0.0  # numerically exact fit: keep the degenerate case consistent
@@ -159,11 +168,11 @@ def diagnostics(fit: RegressionFit, design: DesignMatrix) -> DiagnosticsBundle:
     """Fitted values, standardized residuals and leverages of ``fit`` on ``design``.
 
     Residuals are internally studentized (zero when the fit is exact); the
-    leverages are the diagonal of X (X^T X)^{-1} X^T.
+    leverages are the diagonal of X (X^T X)^{-1} X^T, from X and the fit's R.
     """
     fitted = design.x @ fit.beta
     residuals = design.y - fitted
-    leverage = hat_diagonal(qr_factor(design.x))
+    leverage = hat_diagonal(design.x, fit.r)
     sigma = math.sqrt(fit.sigma2)
     if sigma == 0.0:
         std_resid = np.zeros_like(residuals)
@@ -185,13 +194,14 @@ class GramDiagnostic:
 _GRAM_REL_THRESHOLD = 1e-8
 
 
-def gram_min_eigenvalue(design: DesignMatrix) -> GramDiagnostic:
-    """Smallest eigenvalue of X^T X via ``np.linalg.eigvalsh``.
+def gram_min_eigenvalue(r: np.ndarray) -> GramDiagnostic:
+    """Smallest eigenvalue of the Gram matrix X^T X = R^T R via ``np.linalg.eigvalsh``,
+    from the design's R factor (a fit's ``r``) or from X itself.
 
     Flags collinearity when the smallest eigenvalue falls below
     ``_GRAM_REL_THRESHOLD`` times the Gram matrix norm (largest eigenvalue).
     """
-    eigs = np.linalg.eigvalsh(design.x.T @ design.x)
+    eigs = np.linalg.eigvalsh(r.T @ r)
     smallest = float(eigs[0])
     largest = float(eigs[-1])
     threshold = _GRAM_REL_THRESHOLD * abs(largest)

@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import sys
 import traceback
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from _factories import make_records, make_table, record_table
+from efcilab.analyze import build_report_bundle
 from efcilab.stats.analysis import (
     anova_partial_eta2,
     fit_model,
@@ -16,7 +19,7 @@ from efcilab.stats.analysis import (
     screen_variables,
     select_model_aic,
 )
-from efcilab.stats.design import DesignError, Formula, encode_design
+from efcilab.stats.design import DesignError, Formula, RecordTable, encode_design
 from efcilab.stats.linalg import RankDeficientError
 from efcilab.stats.regression import ols_fit
 
@@ -59,6 +62,98 @@ def test_remembered_failure_raises_afresh_and_keeps_no_traceback(formula, error,
     assert raised[0][0] is error and raised[0][2] == columns
     (stored,) = table.fits.values()
     assert stored.__traceback__ is None and stored.__context__ is None
+
+
+# ---------------------------------------------------------------------------
+# Column bank: one tall factorisation per table
+
+
+def _bundle_tables(monkeypatch, table):
+    """``table`` and every subgroup table ``build_report_bundle`` takes of it,
+    after the bundle is built."""
+    tables, take = [table], RecordTable.take
+
+    def recording_take(self, mask):
+        tables.append(take(self, mask))
+        return tables[-1]
+
+    monkeypatch.setattr(RecordTable, "take", recording_take)
+    build_report_bundle(table)
+    return tables
+
+
+def _bundle_table():
+    return make_table(
+        400, seed=41, train_effects={"dino": 0.2, "byol": 0.05}, incr_effects={"fetril": 0.1},
+        data_levels=("d1", "d2", "d3"), data_effects={"d3": -0.04}, acc1_coef=0.3,
+    )
+
+
+def test_every_bundle_fit_matches_lstsq_on_its_own_design(monkeypatch):
+    tables = _bundle_tables(monkeypatch, _bundle_table())
+    assert len(tables) == 1 + 3 + 2 + 2  # datasets, methods, initial-class shares
+    checked = 0
+    for table in tables:
+        for (response, terms, refs), fit in table.fits.items():
+            if isinstance(fit, Exception):
+                continue
+            design = encode_design(table, Formula(response, terms), dict(refs))
+            x, y = design.x, design.y
+            n, p = x.shape
+            beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+            ssr = float((y - x @ beta) @ (y - x @ beta))
+            se = np.sqrt(ssr / (n - p) * np.diag(np.linalg.inv(x.T @ x)))
+            r_squared = 1.0 - ssr / float((y - y.mean()) @ (y - y.mean()))
+            aic = 2.0 * (p + 1) + n * (math.log(2.0 * math.pi * ssr / n) + 1.0)
+            for got, want in ((fit.beta, beta), (fit.se, se), (fit.ssr, ssr),
+                              (fit.r_squared, r_squared), (fit.aic, aic)):
+                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+            checked += 1
+    assert checked >= 30
+
+
+def test_bundle_factors_each_table_once(monkeypatch):
+    qr, rows = np.linalg.qr, []
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "efcilab.stats.linalg":
+            rows.append(np.shape(a)[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    tables = _bundle_tables(monkeypatch, _bundle_table())
+    # every other factorisation is of R columns, no taller than a bank is wide
+    bank_width = max(table.bank.r.shape[1] for table in tables)
+    tall = Counter(n for n in rows if n > bank_width)
+    assert tall == Counter(table.n for table in tables)
+    assert tall[tables[0].n] == 1
+
+
+def test_bank_fit_names_the_collinear_columns_of_a_tall_fit():
+    # n is constant within each dataset, so it depends on the intercept and data columns
+    classes = {"d1": 20, "d2": 50, "d3": 100}
+    records = make_records(3000, seed=43, data_levels=tuple(classes))
+    by_dataset = record_table([dataclasses.replace(r, n=classes[r.data]) for r in records])
+    # width is 2 acc1 up to a residual between the rank cutoffs at 3000 rows and at
+    # the bank R's 16: it is judged against the table's row count, as in a tall fit
+    rng = np.random.default_rng(44)
+    scale = 300 * 8 * np.finfo(float).eps * math.sqrt(sum(4 * r.acc1**2 for r in records) / 3000)
+    near = record_table([
+        dataclasses.replace(r, width=2 * r.acc1 + scale * float(rng.standard_normal()))
+        for r in records
+    ])
+    for table, formula, labels in (
+        (by_dataset, "avg_acc ~ data + n", ["n"]),
+        (by_dataset, "avg_acc ~ n + data", ["data[d3]"]),
+        (near, "avg_acc ~ acc1 + width", ["width"]),
+    ):
+        with pytest.raises(RankDeficientError) as tall:
+            ols_fit(encode_design(table, formula))
+        with pytest.raises(RankDeficientError) as bank:
+            fit_model(table, formula)
+        assert "bank" in vars(table)  # the fit read the table's bank
+        assert str(bank.value) == str(tall.value) == f"collinear design columns: {labels}"
+        assert bank.value.column_indices == tall.value.column_indices
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +289,15 @@ def test_anova_fits_full_model_once(monkeypatch, formula, expected):
 
     table = make_table(150, seed=8, train_effects={"dino": 0.2}, incr_effects={"fetril": 0.1})
     fits, encodes = [], []
-    monkeypatch.setattr(analysis, "ols_fit", lambda design: fits.append(1) or ols_fit(design))
+    monkeypatch.setattr(analysis, "ols_fit", lambda *args: fits.append(1) or ols_fit(*args))
     monkeypatch.setattr(
         analysis, "encode_design", lambda *args: encodes.append(1) or encode_design(*args)
     )
     anova_partial_eta2(table, formula)
-    # every sum of squares comes from a fit's coefficients: nothing is encoded but to fit
-    assert len(fits) == len(encodes) == expected
+    # every sum of squares comes from a fit's coefficients, and every fit reads the
+    # table's bank but the full model with a product term, which the bank lacks
+    assert len(fits) == expected
+    assert len(encodes) == (":" in formula)
 
 
 def _refit_anova_rows(table, formula):

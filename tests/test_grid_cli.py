@@ -159,6 +159,28 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ConfigError, match=pattern):
             config_from_dict(config_to_dict(toy_config(hyperparams=hyperparams)))
+    # numbers are checked, not coerced; the error names the dataset or strategy and field
+    for path, value, message in (
+        (("base_seed",), 1.5, "base_seed must be an integer, got 1.5"),
+        (("repetitions",), True, "repetitions must be an integer, got True"),
+        (("n_incr_steps",), "3", "n_incr_steps must be an integer, got '3'"),
+        (("datasets", 1, "n_classes"), 10.7, "dataset 'tiny2': n_classes must be an integer"),
+        (("datasets", 0, "width"), "wide", "dataset 'tiny1': width must be a finite number"),
+        (("datasets", 0, "width"), float("inf"), "dataset 'tiny1': width must be a finite number"),
+        (("datasets", 0, "small"), "false", "dataset 'tiny1': small must be true or false"),
+        (("strategies", 1, "separation"), "far", "strategy 's-mid': separation must be a finite"),
+    ):
+        data = config_to_dict(toy_config())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(data)
+    # a float field takes an integer as is
+    data = config_to_dict(toy_config())
+    data["datasets"][0]["width"] = 2
+    assert config_from_dict(data).datasets[0].width == 2
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from _factories import design_from_arrays
 from efcilab.stats.linalg import (
     RankDeficientError,
     hat_diagonal,
     least_squares,
-    qr_factor,
+    r_factor,
     unscaled_covariance,
 )
 from efcilab.stats.regression import gram_min_eigenvalue
@@ -36,7 +35,7 @@ def char_poly_eigenvalues(sym):
 def gram_check(x):
     """The Gram check of raw columns x. The ``test_jacobi_*`` tests below keep
     their names from the cyclic Jacobi solver that ``eigvalsh`` replaced."""
-    return gram_min_eigenvalue(design_from_arrays(x, np.zeros(x.shape[0])))
+    return gram_min_eigenvalue(x)
 
 
 def test_least_squares_matches_normal_equations():
@@ -47,30 +46,62 @@ def test_least_squares_matches_normal_equations():
         x = rng.standard_normal((n, p))
         x[:, 0] = 1.0
         y = rng.standard_normal(n)
-        beta, _ = least_squares(x, y)
+        beta, _, ssr = least_squares(x, y)
         assert np.max(np.abs(beta - normal_equation_solve(x, y))) <= 1e-8
+        resid = y - x @ beta
+        assert abs(ssr - resid @ resid) <= 1e-10 * max(1.0, resid @ resid)
 
 
-def test_qr_reconstructs_input():
+def test_r_factor_reproduces_gram():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((30, 5))
-    q, r = qr_factor(x)
-    assert np.allclose(q @ r, x, atol=1e-10)
-    assert np.allclose(q.T @ q, np.eye(5), atol=1e-12)
+    r = r_factor(x)
+    assert r.shape == (5, 5)
+    assert np.allclose(r.T @ r, x.T @ x, atol=1e-10)
     assert np.array_equal(r, np.triu(r))
+
+
+def test_least_squares_on_r_columns_matches_the_tall_problem():
+    # a bank's R columns stand for the tall [X | y]: same fit, same rank cutoff
+    rng = np.random.default_rng(2)
+    bank = rng.standard_normal((500, 8))
+    bank[:, 6] = bank[:, 1] - 2.0 * bank[:, 3]  # dependent on columns 1 and 3
+    r = r_factor(bank)
+    for cols in ([0, 2, 5], [4, 1, 3], [7, 0]):
+        beta, r_x, ssr = least_squares(r[:, cols], r[:, 6], rows=500)
+        beta_ref, r_ref, ssr_ref = least_squares(bank[:, cols], bank[:, 6])
+        assert np.allclose(beta, beta_ref, rtol=1e-12, atol=1e-12)
+        assert np.allclose(np.abs(r_x), np.abs(r_ref), rtol=1e-12)
+        assert ssr == pytest.approx(ssr_ref, rel=1e-12)
+    with pytest.raises(RankDeficientError) as excinfo:
+        least_squares(r[:, [0, 1, 3, 6]], r[:, 7], rows=500)
+    assert excinfo.value.column_indices == [3]
+    # a near dependence between the cutoffs at 5 and at 500 rows counts as
+    # dependent, as it does in the tall problem: the cutoff scales with ``rows``
+    near = bank[:, [1, 3]] @ [1.0, -2.0]
+    residual = 60 * 8 * np.finfo(float).eps * np.linalg.norm(near) / np.sqrt(500)
+    near += residual * rng.standard_normal(500)
+    tall = np.column_stack([bank[:, [0, 1, 3]], near, bank[:, 7]])
+    r = r_factor(tall)
+    for matrix, y, rows in ((tall[:, :4], tall[:, 4], None), (r[:, :4], r[:, 4], 500)):
+        with pytest.raises(RankDeficientError) as excinfo:
+            least_squares(matrix, y, rows=rows)
+        assert excinfo.value.column_indices == [3]
+    least_squares(r[:, :4], r[:, 4])  # at the R's own 5 rows the column passes
 
 
 def test_unscaled_covariance_matches_inverse_gram():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 6))
-    _, qrf = least_squares(x, rng.standard_normal(40))
-    assert np.allclose(unscaled_covariance(qrf), np.linalg.inv(x.T @ x), atol=1e-10)
+    _, r, _ = least_squares(x, rng.standard_normal(40))
+    assert np.allclose(unscaled_covariance(r), np.linalg.inv(x.T @ x), atol=1e-10)
 
 
 def test_hat_diagonal_sums_to_p():
     rng = np.random.default_rng(4)
     for p in (2, 5, 9):
-        h = hat_diagonal(qr_factor(rng.standard_normal((50, p))))
+        x = rng.standard_normal((50, p))
+        h = hat_diagonal(x, r_factor(x))
         assert abs(h.sum() - p) <= 1e-10
         assert np.all(h >= -1e-12) and np.all(h <= 1 + 1e-12)
 
@@ -86,7 +117,7 @@ def test_duplicate_column_raises_rank_error():
 
 def test_wide_matrix_rejected():
     with pytest.raises(ValueError, match="rows as columns"):
-        qr_factor(np.ones((3, 5)))
+        least_squares(np.ones((3, 5)), np.ones(3))
 
 
 def test_jacobi_against_characteristic_polynomial():

@@ -10,7 +10,7 @@ import pytest
 from _factories import design_from_arrays, make_table
 from efcilab.report import diagnostic_tables
 from efcilab.stats.design import encode_design
-from efcilab.stats.linalg import RankDeficientError, hat_diagonal, qr_factor
+from efcilab.stats.linalg import RankDeficientError, hat_diagonal, r_factor
 from efcilab.stats.regression import diagnostics, gram_min_eigenvalue, ols_fit
 
 mp.mp.dps = 40
@@ -106,8 +106,8 @@ def test_perfect_fit_residual_points_all_zero():
     bundle = diagnostics(ols_fit(design), design)
     assert np.allclose(bundle.std_residuals, 0.0)
     tables = diagnostic_tables(dataclasses.asdict(bundle))
-    assert np.allclose([r for _, r in tables["qq"].rows], 0.0)
-    assert np.allclose([r for _, r in tables["scale_location"].rows], 0.0)
+    assert np.allclose(tables["qq"].y, 0.0)
+    assert np.allclose(tables["scale_location"].y, 0.0)
 
 
 def test_hat_diagonal_trace_is_p():
@@ -145,8 +145,8 @@ def test_qq_slope_near_one_for_normal_residuals():
     y = 0.5 + 1.5 * x[:, 1] + rng.standard_normal(n)
     design = design_from_arrays(x, y)
     bundle = diagnostics(ols_fit(design), design)
-    qq = np.array(diagnostic_tables(dataclasses.asdict(bundle))["qq"].rows)
-    slope = np.polyfit(qq[:, 0], qq[:, 1], 1)[0]
+    qq = diagnostic_tables(dataclasses.asdict(bundle))["qq"]
+    slope = np.polyfit(qq.x, qq.y, 1)[0]
     assert 0.95 <= slope <= 1.05
 
 
@@ -157,10 +157,13 @@ def test_diagnostics_shapes_and_leverage_pairing():
     n = fit.n_obs
     for arr in (bundle.fitted, bundle.leverage, bundle.std_residuals):
         assert arr.shape == (n,)
-    assert np.allclose(bundle.leverage, hat_diagonal(qr_factor(design.x)))
+    assert np.allclose(bundle.leverage, hat_diagonal(design.x, r_factor(design.x)))
     # the report's point sets: sorted residuals against ascending normal
     # quantiles, sqrt|residual| against fitted values, residual against leverage
-    tables = {k: np.array(t.rows) for k, t in diagnostic_tables(dataclasses.asdict(bundle)).items()}
+    tables = {
+        k: np.column_stack([t.x, t.y])
+        for k, t in diagnostic_tables(dataclasses.asdict(bundle)).items()
+    }
     assert all(points.shape == (n, 2) for points in tables.values())
     assert np.all(np.diff(tables["qq"][:, 0]) > 0)
     assert np.array_equal(tables["qq"][:, 1], np.sort(bundle.std_residuals))
@@ -173,7 +176,7 @@ def test_standardized_residuals_use_leverage():
     design = encode_design(make_table(30, seed=9), "avg_acc ~ acc1")
     fit = ols_fit(design)
     residuals = design.y - design.x @ fit.beta
-    leverage = hat_diagonal(qr_factor(design.x))
+    leverage = hat_diagonal(design.x, r_factor(design.x))
     expected = residuals / (math.sqrt(fit.sigma2) * np.sqrt(1 - leverage))
     assert np.allclose(diagnostics(fit, design).std_residuals, expected)
 
@@ -186,7 +189,7 @@ def test_gram_orthonormal_columns():
     rng = np.random.default_rng(10)
     q, _ = np.linalg.qr(rng.standard_normal((30, 4)))
     design = design_from_arrays(q, rng.standard_normal(30), ["intercept", "a", "b", "c"])
-    check = gram_min_eigenvalue(design)
+    check = gram_min_eigenvalue(design.x)
     assert check.min_eigenvalue == pytest.approx(1.0, abs=1e-10)
     assert not check.collinear
 
@@ -196,6 +199,6 @@ def test_gram_duplicate_column_flags_collinearity():
     base = rng.standard_normal((25, 3))
     x = np.column_stack([base, base[:, 1]])
     design = design_from_arrays(x, rng.standard_normal(25), ["intercept", "a", "b", "b2"])
-    check = gram_min_eigenvalue(design)
+    check = gram_min_eigenvalue(design.x)
     assert abs(check.min_eigenvalue) <= 1e-10 * check.max_eigenvalue
     assert check.collinear

@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from _factories import make_records, make_table, record_table
 from efcilab.analyze import AnalysisError, build_report_bundle
 from efcilab.cli import main
 from efcilab.report import (
+    _fmt,
     load_bundle_json,
     pairwise_markdown,
     render_bundle,
@@ -158,9 +161,10 @@ def test_bundle_fits_each_distinct_model_once(monkeypatch, rich_records):
 
     fitted = []
 
-    def counting(design):
-        fitted.append((tuple(design.column_labels), design.x.tobytes(), design.y.tobytes()))
-        return ols_fit(design)
+    def counting(design, r_xy=None):
+        columns = design.x if r_xy is None else r_xy
+        fitted.append((tuple(design.column_labels), columns.tobytes(), design.y.tobytes()))
+        return ols_fit(design, r_xy)
 
     monkeypatch.setattr(analysis, "ols_fit", counting)
     build_report_bundle(record_table(rich_records))
@@ -208,6 +212,30 @@ def test_report_renders_a_bundle_carrying_the_derived_diagnostics_alike(tmp_path
         rows = (tmp_path / "new" / f"diagnostics_{name}.csv").read_text().splitlines()[1:]
         stored = zip(old["diagnostics"][x], old["diagnostics"][y])
         assert rows == [f"{a:.6g},{b:.6g}" for a, b in stored]
+
+
+def test_diagnostics_csvs_match_per_value_rendering(tmp_path, bundle):
+    special = [None, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, -1e300, 0.123456789]
+    resid = [math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, -1e300, 2.5, -0.75]
+    edge = copy.deepcopy(bundle)
+    edge["diagnostics"].update(fitted=special, leverage=special[::-1], std_residuals=resid)
+    n = len(resid)
+    quantile = NormalDist().inv_cdf
+    expected = {
+        "qq": (["theoretical_quantile", "standardized_residual"],
+               [[quantile((i + 0.5) / n), r] for i, r in enumerate(sorted(resid))]),
+        "scale_location": (["fitted", "sqrt_abs_standardized_residual"],
+                           [[f, math.sqrt(abs(r))] for f, r in zip(special, resid)]),
+        "leverage": (["leverage", "standardized_residual"],
+                     [[h, r] for h, r in zip(special[::-1], resid)]),
+    }
+    write_bundle_json(edge, tmp_path / "bundle.json")
+    for name, b in (("memory", edge), ("json", load_bundle_json(tmp_path / "bundle.json"))):
+        render_bundle(b, tmp_path / name, {"csv"})
+        for table, (header, rows) in expected.items():
+            text = "\n".join(",".join(_fmt(v) for v in row) for row in [header] + rows) + "\n"
+            assert (tmp_path / name / f"diagnostics_{table}.csv").read_text() == text
+    assert "\n,inf\n" in (tmp_path / "json" / "diagnostics_scale_location.csv").read_text()
 
 
 def test_render_respects_format_subsets(tmp_path, bundle):
