@@ -16,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from .datagen import file_digest
 from .learners import LEARNER_KINDS, LearnerError, make_learner
 
 SCENARIO_KINDS = ("equal", "half")
@@ -206,17 +207,13 @@ def write_config(cfg: GridConfig, path: str | Path) -> None:
         path.write_text(yaml.safe_dump(data, sort_keys=True), encoding="utf-8")
 
 
-def _file_digest(path) -> str:
-    """sha256 of a file's bytes; an unreadable file (its runs fail) keeps its path."""
+def _file_token(path) -> str:
+    """A feature file's sha256; an unreadable file (its runs fail) keeps its path."""
     path = str(path)  # a YAML number must not open as a file descriptor
-    digest = hashlib.sha256()
     try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
+        return file_digest(path)
     except OSError:
         return path
-    return digest.hexdigest()
 
 
 def config_hash(cfg: GridConfig) -> str:
@@ -227,7 +224,7 @@ def config_hash(cfg: GridConfig) -> str:
     """
     data = config_to_dict(cfg)
     for strat in data["strategies"]:
-        strat["paths"] = {name: _file_digest(path) for name, path in strat["paths"].items()}
+        strat["paths"] = {name: _file_token(path) for name, path in strat["paths"].items()}
     canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 

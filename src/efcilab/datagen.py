@@ -11,11 +11,20 @@ A dataset is only its features, labels and train/test split. The factors
 a run reports about its dataset (class count, mean train samples per
 class, and the caller-supplied ``small``/``width`` labels) are assembled
 by the grid from the dataset and its config entry.
+
+A feature CSV is parsed once per content: ``load_features`` keeps the
+parsed arrays in a binary cache entry per file, under
+``$XDG_CACHE_HOME/efcilab/features-v1`` (``~/.cache`` when that is unset
+or not absolute), and uses an entry only while it holds the sha256 of the
+file's current bytes. Deleting the cache is always safe.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +33,9 @@ import numpy as np
 _SEED_MASK = (1 << 64) - 1
 
 CSV_SPLITS = ("train", "test")
+
+# bump the version directory when the entry layout changes
+_CACHE_DIR = Path("efcilab", "features-v1")
 
 
 class DatasetError(ValueError):
@@ -128,11 +140,107 @@ def save_features(ds: FeatureDataset, path: str | Path) -> None:
             fh.write(f"{label},{'train' if train else 'test'}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
+def file_digest(path: str | Path) -> str:
+    """sha256 hex digest of a file's bytes, read in 64 KiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def load_features(path: str | Path, name: str | None = None) -> FeatureDataset:
+    """Load a canonical feature CSV, parsing it only when its cache entry is not current.
+
+    The entry is ``<cache>/efcilab/features-v1/<sha256 of the resolved path>.npz``,
+    with ``<cache>`` the absolute ``$XDG_CACHE_HOME`` or else ``~/.cache``. It is
+    used only when it holds the sha256 of the file's bytes and arrays of the
+    right dtypes and shapes that pass ``FeatureDataset.validate``. Otherwise the
+    file is parsed, with the line-numbered errors of ``_parse_features``, and a
+    file that parsed and did not change meanwhile is written to its entry. A
+    cache that cannot be read or written costs a parse, never the load.
+    """
+    path = Path(path)
+    mtime = path.stat().st_mtime_ns
+    digest = file_digest(path)
+    entry = _cache_entry(path)
+    ds = _cached_features(entry, digest) if entry is not None else None
+    if ds is None:
+        try:
+            ds = _parse_features(path)
+        except UnicodeDecodeError:
+            raise DatasetError(f"{path}:{_first_undecodable_line(path)}: not valid UTF-8") from None
+        if entry is not None and path.stat().st_mtime_ns == mtime:
+            _write_entry(entry, digest, ds)
+    ds.name = name if name is not None else path.stem
+    return ds
+
+
+def _cache_entry(path: Path) -> Path | None:
+    """Where ``path``'s entry lives; None when no cache directory can be named."""
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        root = Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache"
+        key = hashlib.sha256(os.fsencode(path.resolve())).hexdigest()
+    except (OSError, RuntimeError):
+        return None
+    return root / _CACHE_DIR / f"{key}.npz"
+
+
+def _cached_features(entry: Path, digest: str) -> FeatureDataset | None:
+    """The entry's dataset if it is current and valid; None for any other entry."""
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            if str(npz["sha256"]) != digest:
+                return None
+            ds = FeatureDataset("", npz["features"], npz["labels"], npz["is_train"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if (ds.features.dtype, ds.labels.dtype, ds.is_train.dtype) != (np.float64, np.int64, np.bool_):
+        return None
+    try:
+        ds.validate()
+    except DatasetError:
+        return None
+    return ds
+
+
+def _write_entry(entry: Path, digest: str, ds: FeatureDataset) -> None:
+    """Replace the entry atomically, so concurrent loaders never read a partial one."""
+    tmp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.savez(fh, features=ds.features, labels=ds.labels, is_train=ds.is_train, sha256=np.array(digest))
+        os.replace(tmp, entry)
+    except OSError:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass  # the entry is only a cache: a load never fails for it
+
+
+def _first_undecodable_line(path: Path) -> int:
+    """The line number of the first line that is not UTF-8, counted as text mode counts lines.
+
+    Only the error path reads the file this way: the text reader decodes
+    ahead of the line it hands out, so its own line count cannot say."""
+    lineno = 0
+    with path.open("rb") as fh:
+        for raw in fh:
+            for line in raw.splitlines():  # a lone CR also ends a line in text mode
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return lineno
+
+
+def _parse_features(path: Path) -> FeatureDataset:
     """Parse a canonical feature CSV, streamed line by line; errors carry the offending line number.
 
     LF or CRLF ends a line; blank lines are skipped. Labels are integers below 2**63."""
-    path = Path(path)
     labels, splits, rows = [], [], []
     with path.open(encoding="utf-8") as fh:
         first = next(fh, None)
@@ -175,7 +283,7 @@ def load_features(path: str | Path, name: str | None = None) -> FeatureDataset:
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     ds = FeatureDataset(
-        name=name if name is not None else path.stem,
+        name="",
         features=np.stack(rows),
         labels=np.array(labels, dtype=np.int64),
         is_train=np.array(splits, dtype=bool),

@@ -25,7 +25,6 @@ from .design import (
 )
 from .distributions import (
     f_pvalue,
-    inv_norm_cdf,
     regularized_incomplete_beta,
     student_t_pvalue,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "encode_design",
     "f_pvalue",
     "gram_min_eigenvalue",
-    "inv_norm_cdf",
     "least_squares",
     "ols_fit",
     "pairwise_comparison",

@@ -2,15 +2,12 @@
 
 Student-t and F tail probabilities reduce to the regularized incomplete
 beta function, evaluated by a continued fraction (modified Lentz), good
-to ~1e-13 absolute: ample for p-values. The inverse normal CDF is the
-standard library's ``statistics.NormalDist`` (Wichura's AS 241, accurate
-to about 1e-16 relative).
+to ~1e-13 absolute: ample for p-values.
 """
 
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 _CF_MAX_ITER = 500
 _CF_EPS = 1e-15
@@ -127,7 +124,3 @@ def f_pvalue(f: float, df1: int, df2: int) -> float:
         return regularized_incomplete_beta(a, b, x)
     return 1.0 - regularized_incomplete_beta(b, a, df1 * f / (df2 + df1 * f))
 
-
-def inv_norm_cdf(q: float) -> float:
-    """Quantile of the standard normal distribution; ValueError outside (0, 1)."""
-    return NormalDist().inv_cdf(q)

@@ -1,12 +1,15 @@
 """Synthetic feature generation and CSV round trips."""
 
+import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from _factories import split_arrays
+from efcilab import datagen
 from efcilab.datagen import (
     DatasetError,
     FeatureDataset,
@@ -141,7 +144,7 @@ def test_load_small_file(tmp_path):
     assert ds.labels.tolist() == [0, 0, 1, 1]
 
 
-def test_load_errors_carry_line_numbers(tmp_path):
+def test_load_errors_carry_line_numbers(tmp_path, feature_cache):
     # each file is the header "label,split,f0,f1" followed by these bytes
     cases = [
         ("nan", b"\n0,train,1.0,nan\n0,test,0.5,1.0\n", r"nan\.csv:2: non-finite"),
@@ -154,31 +157,165 @@ def test_load_errors_carry_line_numbers(tmp_path):
         ("blank", b"\n0,train,1.0,2.0\n\n   \n\t\n0,validate,1.0,2.0\n", r"blank\.csv:6: split"),
         ("crlf_blank", b"\r\n\r\n  \r\n0,train,1.0\r\n", r"crlf_blank\.csv:4: expected 4 fields"),
         ("missing", b"\n0,train,1.0,2.0\n1,train,0.5,1.0\n1,test,0.5,1.0\n", "class 0 lacks"),
+        # not UTF-8: the text reader fails chunks ahead of the bad line, past the first chunk here
+        ("latin1", b"\n0,train,1.0,2.0\n0,test,caf\xe9,1.0\n", r"latin1\.csv:3: not valid UTF-8"),
+        ("late_latin1", b"\n" + b"0,train,1.0,2.0\n" * 1000 + b"\r\n0,test,\xff,1.0\n",
+         r"late_latin1\.csv:1003: not valid UTF-8"),
+        # a lone CR ends a line for the text reader, so it counts here too
+        ("cr_latin1", b"\n0,train,1.0,2.0\r0,test,\xe9,1.0\n", r"cr_latin1\.csv:3: not valid UTF-8"),
     ]
     for stem, body, pattern in cases:
         path = tmp_path / f"{stem}.csv"
         path.write_bytes(b"label,split,f0,f1" + body)
-        with pytest.raises(DatasetError, match=pattern):
-            load_features(path)
+        messages = []
+        for _ in range(2):  # the same error again: no entry stands in for a file that failed
+            with pytest.raises(DatasetError, match=pattern) as err:
+                load_features(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert not feature_cache.exists()
 
     top = tmp_path / "top.csv"
     top.write_bytes(b"label,split,f0\r\n9223372036854775807,train,1.0\r\n9223372036854775807,test,2.0\r\n")
     assert load_features(top).labels.tolist() == [2**63 - 1] * 2
 
 
-def test_csv_save_and_load_stream_their_rows(tmp_path):
+def test_csv_save_and_load_stream_their_rows(tmp_path, feature_cache):
     # 300 x 128 values: a Python object per value would take several times the array
     ds = synth_features(SynthSpec(n_classes=30, dim=128, n_train=6, n_test=4, separation=2.0, seed=4))
     path = tmp_path / "feat.csv"
+    load_peaks = []
     tracemalloc.start()
     try:
         save_features(ds, path)
         _, save_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        back = load_features(path)
-        _, load_peak = tracemalloc.get_traced_memory()
+        for _ in range(2):  # a miss that parses and writes the entry, then a hit
+            tracemalloc.reset_peak()
+            back = load_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+            load_peaks.append(peak)
+            assert np.array_equal(back.features, ds.features)
+            del back
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.features, ds.features)
+    assert len(list(feature_cache.glob("*.npz"))) == 1
     assert save_peak < ds.features.nbytes
-    assert load_peak < 4 * ds.features.nbytes
+    assert max(load_peaks) < 4 * ds.features.nbytes
+
+
+def _entry(cache, path):
+    """The cache entry of ``path``: named by the sha256 of its resolved path."""
+    return cache / f"{hashlib.sha256(os.fsencode(path.resolve())).hexdigest()}.npz"
+
+
+def _same_arrays(a, b) -> bool:
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.features, b.features), (a.labels, b.labels), (a.is_train, b.is_train))
+    )
+
+
+@pytest.fixture
+def feature_file(tmp_path):
+    ds = synth_features(SynthSpec(n_classes=4, dim=3, n_train=3, n_test=2, separation=2.0, seed=5))
+    path = tmp_path / "feat.csv"
+    save_features(ds, path)
+    return path
+
+
+def test_cached_load_is_bit_identical_to_a_parse(feature_file, feature_cache, parse_calls):
+    fresh = datagen._parse_features(feature_file)
+    first = load_features(feature_file, name="a")
+    second = load_features(feature_file, name="b")
+    third = load_features(feature_file)
+    assert len(parse_calls) == 2  # the direct call, then the one miss
+    assert _entry(feature_cache, feature_file).is_file()
+    assert [first.name, second.name, third.name] == ["a", "b", "feat"]
+    for ds in (first, second, third):
+        assert _same_arrays(ds, fresh)
+
+
+def test_an_edited_file_misses_its_entry(feature_file, feature_cache, parse_calls):
+    before = load_features(feature_file)
+    text = feature_file.read_text()
+    value = repr(float(before.features[0, 0]))
+    feature_file.write_text(text.replace(value, value[:-1] + ("1" if value[-1] != "1" else "2"), 1))
+    after = load_features(feature_file)
+    assert len(parse_calls) == 2
+    assert after.features[0, 0] != before.features[0, 0]
+    assert np.array_equal(after.features[1:], before.features[1:])
+    assert _same_arrays(load_features(feature_file), after)
+    assert len(parse_calls) == 2
+    assert len(list(feature_cache.iterdir())) == 1  # the entry was overwritten, not added to
+
+
+def _fail_validate(arrays):
+    arrays["is_train"] = np.ones_like(arrays["is_train"])  # no class keeps a test sample
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        "truncated",
+        lambda a: a.update(features=a["features"].astype(np.float32)),
+        lambda a: a.update(labels=a["labels"].astype(np.int32)),
+        lambda a: a.update(labels=a["labels"][:-1]),
+        lambda a: a.update(features=a["features"].ravel()),
+        lambda a: a.update(sha256=np.array("0" * 64)),
+        lambda a: a.pop("is_train"),
+        _fail_validate,
+    ],
+    ids=["truncated", "f32", "i32", "short", "1d", "digest", "missing", "invalid"],
+)
+def test_a_bad_entry_is_parsed_again_and_overwritten(feature_file, feature_cache, spoil, request):
+    good = load_features(feature_file)
+    entry = _entry(feature_cache, feature_file)
+    if spoil == "truncated":
+        entry.write_bytes(entry.read_bytes()[:300])
+    else:
+        with np.load(entry) as npz:
+            arrays = dict(npz)
+        spoil(arrays)
+        with open(entry, "wb") as fh:
+            np.savez(fh, **arrays)
+    calls = request.getfixturevalue("parse_calls")  # counts from here on
+    assert _same_arrays(load_features(feature_file), good)
+    assert _same_arrays(load_features(feature_file), good)
+    assert len(calls) == 1  # the second load hit the entry the first one rewrote
+
+
+def test_a_file_changed_while_parsed_writes_no_entry(feature_file, feature_cache, monkeypatch):
+    original = datagen._parse_features
+
+    def parse_then_touch(path):
+        ds = original(path)
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        return ds
+
+    monkeypatch.setattr(datagen, "_parse_features", parse_then_touch)
+    load_features(feature_file)
+    assert not feature_cache.exists()
+
+
+def test_loads_without_a_writable_cache(feature_file, tmp_path, monkeypatch, parse_calls):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert _same_arrays(load_features(feature_file), load_features(feature_file))
+    assert len(parse_calls) == 2
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
+def test_the_cache_falls_back_to_the_home_directory(feature_file, tmp_path, monkeypatch, xdg):
+    # an unset, empty or relative XDG_CACHE_HOME names no cache directory
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    monkeypatch.chdir(tmp_path)
+    load_features(feature_file)
+    assert _entry(tmp_path / "home" / ".cache" / "efcilab" / "features-v1", feature_file).is_file()
+    assert not (tmp_path / "relative").exists()

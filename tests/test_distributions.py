@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from efcilab.stats.distributions import (
     f_pvalue,
-    inv_norm_cdf,
     regularized_incomplete_beta,
     student_t_pvalue,
 )
@@ -101,22 +100,3 @@ def test_t_and_squared_t_as_f_agree(t, df):
     # identical distribution identity: |T|^2 ~ F(1, df)
     assert abs(student_t_pvalue(t, df) - f_pvalue(t * t, 1, df)) <= 1e-9
 
-
-def test_inv_norm_cdf_median_and_symmetry():
-    assert inv_norm_cdf(0.5) == 0.0
-    for q in (0.01, 0.3, 0.42):
-        assert inv_norm_cdf(q) == pytest.approx(-inv_norm_cdf(1 - q), abs=1e-12)
-
-
-def test_inv_norm_cdf_against_oracle():
-    worst = 0.0
-    for q in (1e-12, 1e-9, 1e-5, 0.02425, 0.1, 0.25, 0.5, 0.66, 0.97575, 1 - 1e-9):
-        ref = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(q) - 1))
-        worst = max(worst, abs(inv_norm_cdf(q) - ref))
-    assert worst <= 1.2e-9
-
-
-def test_inv_norm_cdf_domain():
-    for q in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(ValueError):
-            inv_norm_cdf(q)

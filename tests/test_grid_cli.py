@@ -356,6 +356,30 @@ def test_grid_missing_feature_file_fails_only_its_cell(tmp_path):
     assert errors.pop().startswith("FileNotFoundError: ")
 
 
+def test_a_file_grid_parses_its_feature_file_once(tmp_path, parse_calls):
+    path = tmp_path / "ext.csv"
+    save_features(synth_features(SynthSpec(n_classes=10, dim=4, n_train=5, n_test=3, separation=3.0, seed=1)), path)
+    calls = parse_calls
+    cfg = toy_config(
+        datasets=(DatasetSpec(name="ext", kind="file"),),
+        strategies=(StrategySpec(name="file", paths={"ext": str(path)}),),
+        learners=("dslda", "ncm"),
+        repetitions=3,
+    )
+    cold = write_results(run_grid(cfg, jobs=1), tmp_path / "cold")
+    assert len(calls) == 1  # three cells, one per repetition, share one parse
+    warm = write_results(run_grid(cfg, jobs=1), tmp_path / "warm")
+    assert len(calls) == 1
+    assert warm.read_bytes() == cold.read_bytes()
+    assert len(warm.read_text().splitlines()) == 2 + len(enumerate_runs(cfg)) == 14  # provenance, header
+
+    ds = materialize_dataset(cfg, "ext", "file", 0)
+    assert len(calls) == 1 and ds.name == "ext"
+    for array in (ds.features, ds.labels, ds.is_train):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
 def test_materialized_dataset_is_read_only():
     cfg = toy_config()
     ds = materialize_dataset(cfg, "tiny1", "s-lo", 0)

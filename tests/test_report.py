@@ -28,7 +28,6 @@ from efcilab.stats.analysis import (
     PairwiseMatrix,
     ScreeningRow,
 )
-from efcilab.stats.distributions import inv_norm_cdf
 from efcilab.stats.regression import DiagnosticsBundle, GramDiagnostic, ols_fit
 
 
@@ -192,7 +191,7 @@ def test_report_renders_a_bundle_carrying_the_derived_diagnostics_alike(tmp_path
     n = len(resid)
     old = copy.deepcopy(bundle)
     old["diagnostics"].update(
-        qq_theoretical=[inv_norm_cdf((i - 0.5) / n) for i in range(1, n + 1)],
+        qq_theoretical=[NormalDist().inv_cdf((i - 0.5) / n) for i in range(1, n + 1)],
         qq_residuals=np.sort(resid).tolist(),
         sqrt_abs_std_residuals=np.sqrt(np.abs(resid)).tolist(),
     )
