@@ -16,7 +16,8 @@ A feature CSV is parsed once per content: ``load_features`` keeps the
 parsed arrays in a binary cache entry per file, under
 ``$XDG_CACHE_HOME/efcilab/features-v1`` (``~/.cache`` when that is unset
 or not absolute), and uses an entry only while it holds the sha256 of the
-file's current bytes. Deleting the cache is always safe.
+file's current bytes. Writing an entry removes those of feature files that
+no longer exist. Deleting the cache is always safe.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -36,6 +37,9 @@ CSV_SPLITS = ("train", "test")
 
 # bump the version directory when the entry layout changes
 _CACHE_DIR = Path("efcilab", "features-v1")
+# An entry holds these arrays as .npy records, one after another: written with
+# tofile and read with fromfile, so neither side copies the features.
+_ENTRY_FIELDS = ("sha256", "source", "features", "labels", "is_train")
 
 
 class DatasetError(ValueError):
@@ -152,7 +156,7 @@ def file_digest(path: str | Path) -> str:
 def load_features(path: str | Path, name: str | None = None) -> FeatureDataset:
     """Load a canonical feature CSV, parsing it only when its cache entry is not current.
 
-    The entry is ``<cache>/efcilab/features-v1/<sha256 of the resolved path>.npz``,
+    The entry is ``<cache>/efcilab/features-v1/<sha256 of the resolved path>.bin``,
     with ``<cache>`` the absolute ``$XDG_CACHE_HOME`` or else ``~/.cache``. It is
     used only when it holds the sha256 of the file's bytes and arrays of the
     right dtypes and shapes that pass ``FeatureDataset.validate``. Otherwise the
@@ -171,7 +175,7 @@ def load_features(path: str | Path, name: str | None = None) -> FeatureDataset:
         except UnicodeDecodeError:
             raise DatasetError(f"{path}:{_first_undecodable_line(path)}: not valid UTF-8") from None
         if entry is not None and path.stat().st_mtime_ns == mtime:
-            _write_entry(entry, digest, ds)
+            _write_entry(entry, path, digest, ds)
     ds.name = name if name is not None else path.stem
     return ds
 
@@ -184,18 +188,24 @@ def _cache_entry(path: Path) -> Path | None:
         key = hashlib.sha256(os.fsencode(path.resolve())).hexdigest()
     except (OSError, RuntimeError):
         return None
-    return root / _CACHE_DIR / f"{key}.npz"
+    return root / _CACHE_DIR / f"{key}.bin"
+
+
+def _read_entry(entry: Path, fields: int = len(_ENTRY_FIELDS)) -> dict[str, np.ndarray]:
+    """The first ``fields`` arrays of an entry; OSError or ValueError if they are not all there."""
+    with open(entry, "rb") as fh:
+        return {f: npy_format.read_array(fh, allow_pickle=False) for f in _ENTRY_FIELDS[:fields]}
 
 
 def _cached_features(entry: Path, digest: str) -> FeatureDataset | None:
     """The entry's dataset if it is current and valid; None for any other entry."""
     try:
-        with np.load(entry, allow_pickle=False) as npz:
-            if str(npz["sha256"]) != digest:
-                return None
-            ds = FeatureDataset("", npz["features"], npz["labels"], npz["is_train"])
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        arrays = _read_entry(entry)
+    except (OSError, ValueError):
         return None
+    if str(arrays["sha256"]) != digest:
+        return None
+    ds = FeatureDataset("", arrays["features"], arrays["labels"], arrays["is_train"])
     if (ds.features.dtype, ds.labels.dtype, ds.is_train.dtype) != (np.float64, np.int64, np.bool_):
         return None
     try:
@@ -205,19 +215,40 @@ def _cached_features(entry: Path, digest: str) -> FeatureDataset | None:
     return ds
 
 
-def _write_entry(entry: Path, digest: str, ds: FeatureDataset) -> None:
-    """Replace the entry atomically, so concurrent loaders never read a partial one."""
+def _write_entry(entry: Path, path: Path, digest: str, ds: FeatureDataset) -> None:
+    """Replace the entry atomically, so concurrent loaders never read a partial one,
+    then remove the entries of feature files that no longer exist."""
     tmp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
     try:
+        arrays = {
+            "sha256": np.array(digest),
+            "source": np.array(os.fsdecode(path.resolve())),
+            "features": ds.features,
+            "labels": ds.labels,
+            "is_train": ds.is_train,
+        }
         entry.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
-            np.savez(fh, features=ds.features, labels=ds.labels, is_train=ds.is_train, sha256=np.array(digest))
+            for field in _ENTRY_FIELDS:
+                npy_format.write_array(fh, arrays[field], allow_pickle=False)
         os.replace(tmp, entry)
-    except OSError:
+        _remove_orphans(entry.parent)
+    except (OSError, RuntimeError):
         try:
             tmp.unlink(missing_ok=True)
         except OSError:
             pass  # the entry is only a cache: a load never fails for it
+
+
+def _remove_orphans(directory: Path) -> None:
+    """Delete every entry whose recorded feature file is gone, or that cannot be read."""
+    for entry in directory.glob("*.bin"):
+        try:
+            source = str(_read_entry(entry, 2)["source"])
+        except (OSError, ValueError):
+            source = ""
+        if not os.path.isfile(source):
+            entry.unlink(missing_ok=True)
 
 
 def _first_undecodable_line(path: Path) -> int:

@@ -198,14 +198,14 @@ def test_csv_save_and_load_stream_their_rows(tmp_path, feature_cache):
             del back
     finally:
         tracemalloc.stop()
-    assert len(list(feature_cache.glob("*.npz"))) == 1
+    assert len(list(feature_cache.glob("*.bin"))) == 1
     assert save_peak < ds.features.nbytes
     assert max(load_peaks) < 4 * ds.features.nbytes
 
 
 def _entry(cache, path):
     """The cache entry of ``path``: named by the sha256 of its resolved path."""
-    return cache / f"{hashlib.sha256(os.fsencode(path.resolve())).hexdigest()}.npz"
+    return cache / f"{hashlib.sha256(os.fsencode(path.resolve())).hexdigest()}.bin"
 
 
 def _same_arrays(a, b) -> bool:
@@ -257,6 +257,7 @@ def _fail_validate(arrays):
     "spoil",
     [
         "truncated",
+        "npz",
         lambda a: a.update(features=a["features"].astype(np.float32)),
         lambda a: a.update(labels=a["labels"].astype(np.int32)),
         lambda a: a.update(labels=a["labels"][:-1]),
@@ -265,19 +266,23 @@ def _fail_validate(arrays):
         lambda a: a.pop("is_train"),
         _fail_validate,
     ],
-    ids=["truncated", "f32", "i32", "short", "1d", "digest", "missing", "invalid"],
+    ids=["truncated", "npz", "f32", "i32", "short", "1d", "digest", "missing", "invalid"],
 )
 def test_a_bad_entry_is_parsed_again_and_overwritten(feature_file, feature_cache, spoil, request):
     good = load_features(feature_file)
     entry = _entry(feature_cache, feature_file)
     if spoil == "truncated":
-        entry.write_bytes(entry.read_bytes()[:300])
-    else:
-        with np.load(entry) as npz:
-            arrays = dict(npz)
-        spoil(arrays)
+        entry.write_bytes(entry.read_bytes()[:-1])  # one byte short of the last array
+    elif spoil == "npz":  # the right arrays, but not as .npy records
+        arrays = datagen._read_entry(entry)
         with open(entry, "wb") as fh:
             np.savez(fh, **arrays)
+    else:
+        arrays = datagen._read_entry(entry)
+        spoil(arrays)
+        with open(entry, "wb") as fh:
+            for array in arrays.values():
+                np.lib.format.write_array(fh, array)
     calls = request.getfixturevalue("parse_calls")  # counts from here on
     assert _same_arrays(load_features(feature_file), good)
     assert _same_arrays(load_features(feature_file), good)
@@ -319,3 +324,21 @@ def test_the_cache_falls_back_to_the_home_directory(feature_file, tmp_path, monk
     load_features(feature_file)
     assert _entry(tmp_path / "home" / ".cache" / "efcilab" / "features-v1", feature_file).is_file()
     assert not (tmp_path / "relative").exists()
+
+
+def test_entries_of_gone_files_are_removed_at_the_next_write(tmp_path, feature_file, feature_cache):
+    kept, gone, moved = (tmp_path / f"{stem}.csv" for stem in ("kept", "gone", "moved"))
+    for path in (kept, gone, moved):
+        path.write_bytes(feature_file.read_bytes())
+        load_features(path)
+    junk = feature_cache / f"{'0' * 64}.bin"
+    junk.write_bytes(b"not an entry")
+    gone.unlink()
+    moved.rename(tmp_path / "moved_to.csv")
+    assert _entry(feature_cache, gone).is_file()  # nothing is removed until a write
+    load_features(tmp_path / "moved_to.csv")
+    assert sorted(feature_cache.iterdir()) == sorted(
+        _entry(feature_cache, p) for p in (kept, tmp_path / "moved_to.csv")
+    )
+    load_features(kept)  # a hit writes nothing and removes nothing
+    assert len(list(feature_cache.iterdir())) == 2
