@@ -35,10 +35,12 @@ _SEED_MASK = (1 << 64) - 1
 
 CSV_SPLITS = ("train", "test")
 
-# bump the version directory when the entry layout changes
+# bump the version directory when the entry layout changes; the one change so
+# far, from a single .npz file to the .bin records below, reused this directory,
+# so the sweep also removes every .npz entry
 _CACHE_DIR = Path("efcilab", "features-v1")
 # An entry holds these arrays as .npy records, one after another: written with
-# tofile and read with fromfile, so neither side copies the features.
+# write_array and read with read_array, so neither side copies the features.
 _ENTRY_FIELDS = ("sha256", "source", "features", "labels", "is_train")
 
 
@@ -144,12 +146,17 @@ def save_features(ds: FeatureDataset, path: str | Path) -> None:
             fh.write(f"{label},{'train' if train else 'test'}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
+def _blocks(path: str | Path):
+    """A file's bytes in 64 KiB blocks."""
+    with open(path, "rb") as fh:
+        yield from iter(lambda: fh.read(1 << 16), b"")
+
+
 def file_digest(path: str | Path) -> str:
     """sha256 hex digest of a file's bytes, read in 64 KiB blocks."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
+    for block in _blocks(path):
+        digest.update(block)
     return digest.hexdigest()
 
 
@@ -241,7 +248,11 @@ def _write_entry(entry: Path, path: Path, digest: str, ds: FeatureDataset) -> No
 
 
 def _remove_orphans(directory: Path) -> None:
-    """Delete every entry whose recorded feature file is gone, or that cannot be read."""
+    """Delete every entry whose recorded feature file is gone, or that cannot be read,
+    and every entry of the .npz layout, which no load reads. Other writers'
+    in-flight ``.tmp`` files are left alone."""
+    for entry in directory.glob("*.npz"):
+        entry.unlink(missing_ok=True)
     for entry in directory.glob("*.bin"):
         try:
             source = str(_read_entry(entry, 2)["source"])
@@ -268,11 +279,26 @@ def _first_undecodable_line(path: Path) -> int:
     return lineno
 
 
+def _line_end_bound(path: Path) -> int:
+    """An upper bound on the lines after the first that text mode reads from ``path``.
+
+    Counts every LF and every CR not followed by LF in its 64 KiB block, so
+    CRLF counts once, and a CRLF split across two blocks twice."""
+    ends = 0
+    for block in _blocks(path):
+        cr = block.count(b"\r")  # mostly 0, which saves the slower two-byte count
+        ends += block.count(b"\n") + (cr - block.count(b"\r\n") if cr else 0)
+    return ends
+
+
 def _parse_features(path: Path) -> FeatureDataset:
     """Parse a canonical feature CSV, streamed line by line; errors carry the offending line number.
 
-    LF or CRLF ends a line; blank lines are skipped. Labels are integers below 2**63."""
-    labels, splits, rows = [], [], []
+    LF, CRLF or a lone CR ends a line; blank lines are skipped. Labels are
+    integers below 2**63. The arrays are allocated once, from a count of the
+    file's line ends, and each row is parsed straight into its slot, so the
+    features are held once."""
+    capacity = _line_end_bound(path)
     with path.open(encoding="utf-8") as fh:
         first = next(fh, None)
         if first is None:
@@ -285,6 +311,10 @@ def _parse_features(path: Path) -> FeatureDataset:
                 raise DatasetError(f"{path}:1: feature column {i} is named {col!r}, expected 'f{i}'")
         dim = len(header) - 2
 
+        features = np.empty((capacity, dim))
+        labels = np.empty(capacity, dtype=np.int64)
+        is_train = np.empty(capacity, dtype=bool)
+        n = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -302,23 +332,18 @@ def _parse_features(path: Path) -> FeatureDataset:
             if parts[1] not in CSV_SPLITS:
                 raise DatasetError(f"{path}:{lineno}: split {parts[1]!r} is not one of {CSV_SPLITS}")
             try:
-                values = np.array(parts[2:], dtype=np.float64)
+                features[n] = parts[2:]
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-numeric feature value") from None
-            if not np.isfinite(values).all():
+            if not np.isfinite(features[n]).all():
                 raise DatasetError(f"{path}:{lineno}: non-finite feature value")
-            labels.append(label)
-            splits.append(parts[1] == "train")
-            rows.append(values)
+            labels[n] = label
+            is_train[n] = parts[1] == "train"
+            n += 1
 
-    if not rows:
+    if n == 0:
         raise DatasetError(f"{path}: no data rows")
-    ds = FeatureDataset(
-        name="",
-        features=np.stack(rows),
-        labels=np.array(labels, dtype=np.int64),
-        is_train=np.array(splits, dtype=bool),
-    )
+    ds = FeatureDataset(name="", features=features[:n], labels=labels[:n], is_train=is_train[:n])
     try:
         ds.validate()
     except DatasetError as exc:

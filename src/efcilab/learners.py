@@ -117,6 +117,11 @@ class StreamingLDA:
     the pairwise update of Chan, Golub & LeVeque (1979), so the final
     state matches a batch fit over the same samples up to float rounding
     regardless of arrival order or how a class is split over steps.
+
+    Memory stays a few ``dim x dim`` arrays: a step's within-class scatter
+    is one product over all its centred rows, and the discriminant is
+    solved from one shrunk copy of the scatter, checked positive definite
+    by its Cholesky factor, which is then dropped.
     """
 
     def __init__(self, shrinkage: float = 1e-4):
@@ -139,13 +144,13 @@ class StreamingLDA:
         if self.dim is None:
             self.dim = int(features.shape[1])
             self.scatter = np.zeros((self.dim, self.dim))
-        for c in np.unique(labels):
-            c = int(c)
-            block = features[labels == c]
-            n_b = block.shape[0]
-            mean_b = block.mean(axis=0)
-            centred = block - mean_b
-            self.scatter += centred.T @ centred
+        ids, inverse = np.unique(labels, return_inverse=True)
+        block_means = np.stack([features[inverse == j].mean(axis=0) for j in range(len(ids))])
+        centred = block_means[inverse]
+        np.subtract(features, centred, out=centred)
+        self.scatter += centred.T @ centred
+        del centred
+        for c, n_b, mean_b in zip(ids.tolist(), np.bincount(inverse).tolist(), block_means):
             n_a = self.counts.get(c, 0)
             if n_a == 0:
                 self.means[c] = mean_b
@@ -170,17 +175,17 @@ class StreamingLDA:
         ids = self.known_classes
         if len(ids) < 2:
             raise LearnerError(f"prediction needs at least 2 known classes, have {len(ids)}")
-        sigma = self.covariance()
-        shrunk = (1.0 - self.shrinkage) * sigma + self.shrinkage * np.eye(self.dim)
+        shrunk = self.covariance()
+        shrunk *= 1.0 - self.shrinkage
+        shrunk.flat[:: self.dim + 1] += self.shrinkage
         try:
-            chol = np.linalg.cholesky(shrunk)
+            np.linalg.cholesky(shrunk)  # only the check that it is positive definite
         except np.linalg.LinAlgError:
             raise LearnerError(
                 "shrunk scatter is singular; use shrinkage > 0 to guarantee invertibility"
             ) from None
         mu = np.stack([self.means[int(c)] for c in ids])
-        # Lambda = L^-T L^-1, so Lambda mu' takes two solves against the factor L
-        weights = np.linalg.solve(chol.T, np.linalg.solve(chol, mu.T)).T
+        weights = np.linalg.solve(shrunk, mu.T).T
         biases = -0.5 * np.einsum("ij,ij->i", weights, mu)
         return ids, weights, biases
 
@@ -344,8 +349,11 @@ def fit_softmax_head(
         ev *= to_v
         grad -= counts
         grad /= n
-        coef -= lr * (grad + weight_decay * coef)
         biases -= lr * grad[:m].sum(axis=0)
+        # coef -= lr * (grad + weight_decay * coef), in place in grad
+        grad += weight_decay * coef
+        grad *= lr
+        coef -= grad
     return coef.T @ basis, biases
 
 
@@ -577,8 +585,9 @@ class BSILLite:
             raise LearnerError("predict before any update")
         ids = self.known_classes
         unit_w, _ = _unit_rows(np.stack([self.weights[int(c)] for c in ids]))
-        unit_x, _ = _unit_rows(features)
-        return argmax_by_class(unit_x @ unit_w.T, ids)
+        # a row's positive norm scales all its cosines alike, so its argmax
+        # needs no normalised copy of the features; a zero row scores 0
+        return argmax_by_class(features @ unit_w.T, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,43 @@ def test_csv_save_and_load_stream_their_rows(tmp_path, feature_cache):
         tracemalloc.stop()
     assert len(list(feature_cache.glob("*.bin"))) == 1
     assert save_peak < ds.features.nbytes
-    assert max(load_peaks) < 4 * ds.features.nbytes
+    # a parse holds the features once
+    assert max(load_peaks) < 1.5 * ds.features.nbytes
+
+    crlf = tmp_path / "feat_crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        back = load_features(crlf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.features, ds.features)
+    assert peak < 1.5 * ds.features.nbytes  # one line end per CRLF, not two
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda b: b,
+        lambda b: b.replace(b"\n", b"\r\n"),
+        lambda b: b.replace(b"\n", b"\r"),
+        lambda b: b.replace(b"\n", b"\n\n \t\n", 2),  # blank and whitespace-only lines
+        lambda b: b.rstrip(b"\n"),
+    ],
+    ids=["lf", "crlf", "lone_cr", "blank", "no_final_newline"],
+)
+def test_every_line_end_loads_the_same_arrays(tmp_path, variant):
+    lf = b"label,split,f0,f1\n0,train,1.5,-0.0\n0,test,0.5,1e+16\n1,train,3.0,5e-324\n1,test,2.5,3.5\n"
+    path = tmp_path / "feat.csv"
+    path.write_bytes(variant(lf))
+    expected = FeatureDataset(
+        name="",
+        features=np.array([[1.5, -0.0], [0.5, 1e16], [3.0, 5e-324], [2.5, 3.5]]),
+        labels=np.array([0, 0, 1, 1], dtype=np.int64),
+        is_train=np.array([True, False, True, False]),
+    )
+    assert _same_arrays(load_features(path), expected)
 
 
 def _entry(cache, path):
@@ -342,3 +378,16 @@ def test_entries_of_gone_files_are_removed_at_the_next_write(tmp_path, feature_f
     )
     load_features(kept)  # a hit writes nothing and removes nothing
     assert len(list(feature_cache.iterdir())) == 2
+
+
+def test_a_write_removes_npz_layout_entries_and_leaves_temporaries(feature_file, tmp_path, feature_cache):
+    load_features(feature_file)
+    entry = _entry(feature_cache, feature_file)
+    old_layout = entry.with_suffix(".npz")  # the entry an earlier layout wrote for the same file
+    np.savez(old_layout, **datagen._read_entry(entry))
+    in_flight = feature_cache / f"{'1' * 64}.4242.tmp"  # another writer's entry, not yet replaced
+    in_flight.write_bytes(b"partial")
+    other = tmp_path / "other.csv"
+    other.write_bytes(feature_file.read_bytes())
+    load_features(other)
+    assert sorted(feature_cache.iterdir()) == sorted([entry, _entry(feature_cache, other), in_flight])

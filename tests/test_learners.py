@@ -149,6 +149,37 @@ def test_dslda_errors():
         bare.predict(np.zeros((1, 3)))
 
 
+def test_dslda_holds_few_dim_by_dim_arrays():
+    # 20 classes in 256 dimensions over two steps of 256 rows each, the
+    # second merging 4 classes seen in the first
+    dim = 256
+    unit = dim * dim * 8  # bytes of one dim x dim float64 array
+    rng = np.random.default_rng(3)
+    steps = [np.repeat(np.arange(16), 16), np.repeat(np.arange(12, 20), 32)]
+    steps = [(rng.normal(0, 1, (len(y), dim)), y) for y in steps]
+    queries = rng.normal(0, 1, (100, dim))
+    learner = StreamingLDA()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in [lambda: learner.learn_step(*steps[0]), lambda: learner.learn_step(*steps[1])]:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            call()
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / unit)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        learner.predict(queries)
+        predict_peak = (tracemalloc.get_traced_memory()[1] - before) / unit
+    finally:
+        tracemalloc.stop()
+    # a step's scatter is one product over its centred rows, so a step of at
+    # most dim rows holds the scatter, those rows and the product
+    assert max(peaks) < 3.5
+    # one shrunk copy of the scatter and the solver's own copy of it
+    assert predict_peak <= 2.5
+
+
 # ---------------------------------------------------------------------------
 # Nearest class mean
 
