@@ -173,22 +173,13 @@ def _add_pairwise(
 def _add_pairwise_sections(bundle, table: RecordTable, alpha, usable_responses) -> None:
     if "avg_acc" in usable_responses:
         _add_pairwise(bundle, table, "avg_acc ~ incr + train + data", alpha, "accuracy overall")
-        for code, lvl in enumerate(table.levels["data"]):
-            _add_pairwise(
-                bundle,
-                table.take(table.columns["data"] == code),
-                "avg_acc ~ incr + train",
-                alpha,
-                f"accuracy on dataset {lvl}",
-            )
-        for code, lvl in enumerate(table.levels["incr"]):
-            _add_pairwise(
-                bundle,
-                table.take(table.columns["incr"] == code),
-                "avg_acc ~ train + data",
-                alpha,
-                f"accuracy with method {lvl}",
-            )
+        for factor, formula, title in (
+            ("data", "avg_acc ~ incr + train", "accuracy on dataset {}"),
+            ("incr", "avg_acc ~ train + data", "accuracy with method {}"),
+        ):
+            for code, lvl in enumerate(table.levels[factor]):
+                subset = table.take(table.columns[factor] == code)
+                _add_pairwise(bundle, subset, formula, alpha, title.format(lvl))
         # scenario flag encodes the initial-class share (equal vs half split)
         for lvl in sorted(set(table.columns["scenario_b"].tolist())):
             _add_pairwise(

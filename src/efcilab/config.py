@@ -93,12 +93,27 @@ def _check_numbers(spec, owner: str = "") -> None:
             raise ConfigError(f"{owner}{f.name} must be {_NUMBER_KINDS[f.type]}, got {value!r}")
 
 
+def _check_name(owner: str, name) -> None:
+    """Reject a name that a results.csv field or a matrix file name cannot hold."""
+    if not (isinstance(name, str) and name.splitlines() == [name]
+            and not any(ch in name for ch in ",/\0")):
+        raise ConfigError(
+            f"{owner} name {name!r} must be a non-empty string with no ',', '/', NUL or line break"
+        )
+
+
 def validate_config(cfg: GridConfig) -> None:
     _check_numbers(cfg)
     for ds in cfg.datasets:
+        _check_name("dataset", ds.name)
         _check_numbers(ds, f"dataset {ds.name!r}: ")
     for strat in cfg.strategies:
+        _check_name("strategy", strat.name)
         _check_numbers(strat, f"strategy {strat.name!r}: ")
+        if strat.separation < 0:
+            raise ConfigError(
+                f"strategy {strat.name!r}: separation must be >= 0, got {strat.separation}"
+            )
     names = [d.name for d in cfg.datasets]
     if not names:
         raise ConfigError("config declares no datasets")

@@ -76,10 +76,10 @@ class FeatureDataset:
             raise DatasetError("features contain non-finite values")
         if self.labels.shape != (self.n_samples,) or self.is_train.shape != (self.n_samples,):
             raise DatasetError("labels/split arrays do not match the sample count")
-        for c in self.class_ids:
-            mask = self.labels == c
-            if not np.any(mask & self.is_train) or not np.any(mask & ~self.is_train):
-                raise DatasetError(f"class {int(c)} lacks a train or test sample")
+        # a class fails when it is in just one of the two splits; name the smallest
+        lacking = np.setxor1d(self.labels[self.is_train], self.labels[~self.is_train])
+        if lacking.size:
+            raise DatasetError(f"class {int(lacking[0])} lacks a train or test sample")
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,7 @@ def load_features(path: str | Path, name: str | None = None) -> FeatureDataset:
     entry = _cache_entry(path)
     ds = _cached_features(entry, digest) if entry is not None else None
     if ds is None:
-        try:
-            ds = _parse_features(path)
-        except UnicodeDecodeError:
-            raise DatasetError(f"{path}:{_first_undecodable_line(path)}: not valid UTF-8") from None
+        ds = _parse_features(path)
         if entry is not None and path.stat().st_mtime_ns == mtime:
             _write_entry(entry, path, digest, ds)
     ds.name = name if name is not None else path.stem
@@ -262,23 +259,6 @@ def _remove_orphans(directory: Path) -> None:
             entry.unlink(missing_ok=True)
 
 
-def _first_undecodable_line(path: Path) -> int:
-    """The line number of the first line that is not UTF-8, counted as text mode counts lines.
-
-    Only the error path reads the file this way: the text reader decodes
-    ahead of the line it hands out, so its own line count cannot say."""
-    lineno = 0
-    with path.open("rb") as fh:
-        for raw in fh:
-            for line in raw.splitlines():  # a lone CR also ends a line in text mode
-                lineno += 1
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    return lineno
-    return lineno
-
-
 def _line_end_bound(path: Path) -> int:
     """An upper bound on the lines after the first that text mode reads from ``path``.
 
@@ -291,18 +271,30 @@ def _line_end_bound(path: Path) -> int:
     return ends
 
 
+def _check_utf8(path: Path, lineno: int, line: str) -> None:
+    """Fail a line whose bytes were not UTF-8: ``surrogateescape`` read them as lone surrogates."""
+    if not line.isascii():  # O(1), and true for every valid data line
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DatasetError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def _parse_features(path: Path) -> FeatureDataset:
     """Parse a canonical feature CSV, streamed line by line; errors carry the offending line number.
 
     LF, CRLF or a lone CR ends a line; blank lines are skipped. Labels are
-    integers below 2**63. The arrays are allocated once, from a count of the
-    file's line ends, and each row is parsed straight into its slot, so the
-    features are held once."""
+    integers below 2**63. A byte that is not UTF-8 reads as a lone surrogate
+    and fails the check of its own line, so the error names the first bad
+    line, whatever its fault. The arrays are allocated once, from a count of
+    the file's line ends, and each row is parsed straight into its slot, so
+    the features are held once."""
     capacity = _line_end_bound(path)
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         first = next(fh, None)
         if first is None:
             raise DatasetError(f"{path}: empty file")
+        _check_utf8(path, 1, first)
         header = first.rstrip("\n").split(",")
         if header[:2] != ["label", "split"] or len(header) < 3:
             raise DatasetError(f"{path}:1: header must be 'label,split,f0,...'")
@@ -316,6 +308,7 @@ def _parse_features(path: Path) -> FeatureDataset:
         is_train = np.empty(capacity, dtype=bool)
         n = 0
         for lineno, line in enumerate(fh, start=2):
+            _check_utf8(path, lineno, line)
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")

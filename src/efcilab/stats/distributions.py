@@ -95,17 +95,7 @@ def student_t_pvalue(t: float, df: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if math.isnan(t):
         raise ValueError("t statistic is NaN")
-    if math.isinf(t):
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    # pick the branch whose incomplete-beta value is not near 1, so that a
-    # small p-value is never formed by cancellation against 1
-    a, b = df / 2.0, 0.5
-    x = df / (df + t * t)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return regularized_incomplete_beta(a, b, x)
-    return 1.0 - regularized_incomplete_beta(b, a, t * t / (df + t * t))
+    return f_pvalue(t * t, 1, df)  # t with df degrees of freedom squares to F(1, df)
 
 
 def f_pvalue(f: float, df1: int, df2: int) -> float:
@@ -118,6 +108,8 @@ def f_pvalue(f: float, df1: int, df2: int) -> float:
         raise ValueError(f"F statistic must be >= 0, got {f}")
     if math.isinf(f):
         return 0.0
+    # pick the branch whose incomplete-beta value is not near 1, so that a
+    # small p-value is never formed by cancellation against 1
     a, b = df2 / 2.0, df1 / 2.0
     x = df2 / (df2 + df1 * f)
     if x < (a + 1.0) / (a + b + 2.0):

@@ -157,12 +157,20 @@ def test_load_errors_carry_line_numbers(tmp_path, feature_cache):
         ("blank", b"\n0,train,1.0,2.0\n\n   \n\t\n0,validate,1.0,2.0\n", r"blank\.csv:6: split"),
         ("crlf_blank", b"\r\n\r\n  \r\n0,train,1.0\r\n", r"crlf_blank\.csv:4: expected 4 fields"),
         ("missing", b"\n0,train,1.0,2.0\n1,train,0.5,1.0\n1,test,0.5,1.0\n", "class 0 lacks"),
-        # not UTF-8: the text reader fails chunks ahead of the bad line, past the first chunk here
+        # two classes fail, each on a different split: the smaller is named
+        ("missing_two", b"\n4,test,1.0,2.0\n3,train,1.0,2.0\n1,train,0.5,1.0\n1,test,0.5,1.0\n",
+         r"missing_two\.csv: class 3 lacks"),
+        # not UTF-8: each line is checked where it is read, past the decoder's first chunk here
         ("latin1", b"\n0,train,1.0,2.0\n0,test,caf\xe9,1.0\n", r"latin1\.csv:3: not valid UTF-8"),
         ("late_latin1", b"\n" + b"0,train,1.0,2.0\n" * 1000 + b"\r\n0,test,\xff,1.0\n",
          r"late_latin1\.csv:1003: not valid UTF-8"),
         # a lone CR ends a line for the text reader, so it counts here too
         ("cr_latin1", b"\n0,train,1.0,2.0\r0,test,\xe9,1.0\n", r"cr_latin1\.csv:3: not valid UTF-8"),
+        # the first bad line is named, whatever its fault, though the decoder reads past it
+        ("mixed", b"\n0,train,1.0\n0,test,caf\xe9,1.0\n", r"mixed\.csv:2: expected 4 fields, got 3"),
+        ("header_latin1", b",f\xe92\n0,train,1.0,2.0,3.0\n", r"header_latin1\.csv:1: not valid UTF-8"),
+        # UTF-8 that is not ASCII passes the check and fails as the value it is
+        ("utf8", b"\n0,train,1.0,\xc3\xa9\n", r"utf8\.csv:2: non-numeric"),
     ]
     for stem, body, pattern in cases:
         path = tmp_path / f"{stem}.csv"
@@ -203,16 +211,18 @@ def test_csv_save_and_load_stream_their_rows(tmp_path, feature_cache):
     # a parse holds the features once
     assert max(load_peaks) < 1.5 * ds.features.nbytes
 
-    crlf = tmp_path / "feat_crlf.csv"
-    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    tracemalloc.start()
-    try:
-        back = load_features(crlf)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back.features, ds.features)
-    assert peak < 1.5 * ds.features.nbytes  # one line end per CRLF, not two
+    # one line end per CRLF, not two; a lone-CR file is still read a line at a time
+    for end in (b"\r\n", b"\r"):
+        other = tmp_path / f"feat_{end.hex()}.csv"
+        other.write_bytes(path.read_bytes().replace(b"\n", end))
+        tracemalloc.start()
+        try:
+            back = load_features(other)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.features, ds.features)
+        assert peak < 1.5 * ds.features.nbytes
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,8 @@ def test_config_validation_errors():
         (("datasets", 0, "width"), float("inf"), "dataset 'tiny1': width must be a finite number"),
         (("datasets", 0, "small"), "false", "dataset 'tiny1': small must be true or false"),
         (("strategies", 1, "separation"), "far", "strategy 's-mid': separation must be a finite"),
+        # every run would fail drawing its dataset
+        (("strategies", 2, "separation"), -1.0, "strategy 's-hi': separation must be >= 0, got -1.0"),
     ):
         data = config_to_dict(toy_config())
         target = data
@@ -181,6 +183,28 @@ def test_config_validation_errors():
     data = config_to_dict(toy_config())
     data["datasets"][0]["width"] = 2
     assert config_from_dict(data).datasets[0].width == 2
+
+
+@pytest.mark.parametrize("name", ["a,b", "a/b", "", "a\nb", "a\0b", 7])
+@pytest.mark.parametrize("owner", ["dataset", "strategy"])
+def test_names_the_outputs_cannot_hold_are_config_errors(tmp_path, monkeypatch, capsys, owner, name):
+    # a ',' splits a results.csv field, a '/' makes a matrix file a directory
+    if owner == "dataset":
+        overrides = {"datasets": (DatasetSpec(name=name, n_classes=10, dim=6, n_train=6, n_test=3),)}
+    else:
+        overrides = {"strategies": (StrategySpec(name=name, separation=1.5),)}
+    cfg_path = write_toy_config(tmp_path, **overrides)
+    message = f"{owner} name {name!r} must be a non-empty string"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg_path)
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a grid ran on an invalid config")
+
+    monkeypatch.setattr("efcilab.cli.run_grid", no_runs)
+    assert main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_example_loads(tmp_path):
