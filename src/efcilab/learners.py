@@ -16,15 +16,15 @@ the current step's training data):
   stand-in for fine-tuning-based methods.
 * ``NearestClassMean`` — running class means, nearest-mean prediction.
 
-The two gradient-descent heads train dual coefficients. Each update of
-a weight row adds a combination of the step's basis rows (the rows it
-trains on, plus the imprints and old weights for BSIL) and a multiple of
-the row itself, so the weights stay ``coef.T @ basis`` and the epochs
-update ``coef`` alone. The inner products of the basis rows with the
-weights come from one product per epoch: through the Gram matrix of the
-basis rows when there are at most twice as many rows as dimensions,
-through the weights otherwise. The weights map back once, at the end;
-the descent is the weight-space one up to float rounding.
+One fixed-step loop, ``descend``, drives both gradient-descent heads on
+dual coefficients: every update of a weight row adds a combination of
+the step's rows and a multiple of the row itself. FeTrIL's weights stay
+``coef.T @ basis`` over its real rows and offsets; BSIL's stay
+``coef.T @ unit_rows + own[:, None] * w0``, one scale per class on the
+row ``w0`` it started from. The rows' inner products with the weights
+come from one product per epoch (see ``_inner_products``). The weights
+map back once, at the end; the descent is the weight-space one up to
+float rounding.
 
 Ties in every argmax go to the lowest class id.
 """
@@ -235,18 +235,27 @@ class NearestClassMean:
 
 
 # ---------------------------------------------------------------------------
-# Dual coefficients of the gradient-descent heads
+# Descent and dual coefficients of the gradient-descent heads
+
+
+def descend(gradient, params: list, lr: float, epochs: int, prox=None) -> list:
+    """``epochs`` fixed steps ``p -= lr * g`` in place over the arrays
+    ``params``, each ``g`` from ``gradient(params)``; after each step
+    ``prox(params)``, if given, may change them in place. Returns ``params``."""
+    for _ in range(epochs):
+        for p, g in zip(params, gradient(params)):
+            p -= lr * g
+        if prox is not None:
+            prox(params)
+    return params
 
 
 def _inner_products(basis: np.ndarray):
     """The map from coefficients ``coef`` (``k x C``) to the inner products
     ``basis @ (coef.T @ basis).T`` of the ``k`` basis rows with the weight
-    rows they combine to.
-
-    One product per call, whichever is cheaper from the shapes: the Gram
-    matrix of the basis rows, formed once, costs ``k * k * C`` a call and a
-    ``k x k`` array, going through the weights ``2 * k * dim * C``. So the
-    Gram order serves ``k <= 2 * dim``, the weights order taller bases.
+    rows they combine to, by one product per call: through the Gram matrix
+    of the rows, formed once (``k * k * C`` a call and a ``k x k`` array),
+    when ``k <= 2 * dim``, else through the weights (``2 * k * dim * C``).
     """
     k, dim = basis.shape
     if k <= 2 * dim:
@@ -305,13 +314,10 @@ def fit_softmax_head(
     training rows. Zero-initialized, hence deterministic. Returns
     (weights, biases).
 
-    The weights start at zero and every step adds ``grad.T @ basis`` and a
-    multiple of themselves, so they stay ``coef.T @ basis``. The epochs
-    update the ``(m + J) x C`` coefficients ``coef`` instead,
-    ``coef -= lr * (grad + weight_decay * coef)``, and need the basis
-    rows' inner products with the weights, ``u`` and ``v``, from one
-    product (see ``_inner_products``). The weights map back once at the
-    end.
+    ``descend`` trains the biases and the ``(m + J) x C`` coefficients of
+    the weights ``coef.T @ basis``, with gradient ``grad + weight_decay *
+    coef``, ``grad`` from ``u`` and ``v`` (one product, see
+    ``_inner_products``). The weights map back once at the end.
     """
     n = len(rows)
     m = len(features)
@@ -326,9 +332,8 @@ def fit_softmax_head(
     np.add.at(counts, (np.concatenate([rows, m + shift_of]), np.tile(class_idx, 2)), 1.0)
     ratio = np.zeros_like(pairs)
 
-    coef = np.zeros((len(basis), n_classes))
-    biases = np.zeros(n_classes)
-    for _ in range(epochs):
+    def gradient(params):
+        coef, biases = params
         grad = inner_products(coef)
         grad[:m] += biases
         grad -= grad.max(axis=1, keepdims=True)
@@ -349,11 +354,11 @@ def fit_softmax_head(
         ev *= to_v
         grad -= counts
         grad /= n
-        biases -= lr * grad[:m].sum(axis=0)
-        # coef -= lr * (grad + weight_decay * coef), in place in grad
+        grad_biases = grad[:m].sum(axis=0)
         grad += weight_decay * coef
-        grad *= lr
-        coef -= grad
+        return grad, grad_biases
+
+    coef, biases = descend(gradient, [np.zeros_like(counts), np.zeros(n_classes)], lr, epochs)
     return coef.T @ basis, biases
 
 
@@ -409,10 +414,8 @@ class FeTrILLite:
             targets.append(np.full(len(src_rows), past_id, dtype=np.int64))
         shift_of = np.repeat(np.arange(len(shifts)), [len(r) for r in rows])
 
-        for c in new_ids:
-            self.means[c] = step_means[c]
-
-        all_ids = self.known_classes
+        # a head fit that raises leaves the learner as it was
+        all_ids = np.array(sorted([*self.means, *new_ids]), dtype=np.int64)
         class_idx = np.searchsorted(all_ids, np.concatenate(targets))
         self.head_weights, self.head_biases = fit_softmax_head(
             features,
@@ -425,6 +428,7 @@ class FeTrILLite:
             self.epochs,
             self.weight_decay,
         )
+        self.means.update(step_means)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         if self.head_weights is None:
@@ -443,9 +447,7 @@ def _unit_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arr / safe[:, None], safe
 
 
-def _anchor_prox(
-    weights: np.ndarray, snapshot: np.ndarray, lr: float, strength: float
-) -> np.ndarray:
+def _anchor_prox(weights: np.ndarray, snapshot, lr: float, strength: float) -> np.ndarray:
     """Proximal step of the anchor: the minimiser over ``w`` of
     ``strength * ||w - snapshot||^2 + ||w - weights||^2 / (2 * lr)``."""
     shrink = 1.0 / (1.0 + 2.0 * lr * strength)
@@ -453,28 +455,29 @@ def _anchor_prox(
 
 
 def _cosine_softmax_loss(
-    coef: np.ndarray,
-    scale: float,
-    inner_products,
-    class_idx: np.ndarray,
-    log_counts: np.ndarray,
-) -> tuple[float, np.ndarray, float]:
-    """Balanced-softmax cross-entropy of a cosine head in dual coefficients.
+    params: list, inner_products, cross: np.ndarray, sq_norms: np.ndarray, class_idx, log_counts
+) -> tuple[float, tuple]:
+    """Balanced-softmax cross-entropy of a cosine head over its unit rows.
 
-    The weight rows are ``coef.T @ basis``, and the training rows are the
-    first ``len(class_idx)`` basis rows, of unit norm; ``inner_products``
-    maps ``coef`` to the basis rows' inner products with the weight rows
-    (see ``_inner_products``). Logits are ``scale * cos(w_c, x)`` offset
-    by ``log_counts[c]`` inside the softmax. Returns ``(loss, grad_coef,
-    d loss / d scale)``, where ``grad_coef.T @ basis`` is the gradient in
-    the weights.
+    ``params`` is ``(coef, own, scale)``: weight row ``c`` is
+    ``coef[:, c] @ unit_rows + own[c] * w0[c]``, over the ``n`` unit-norm
+    training rows and the row ``w0[c]`` the class started from.
+    ``inner_products`` is ``_inner_products(unit_rows)``, ``cross`` is
+    ``unit_rows @ w0.T`` and ``sq_norms`` holds ``||w0[c]||^2``. Logits are
+    ``scale * cos(w_c, x)`` offset by ``log_counts[c]`` inside the softmax.
+    Returns ``(loss, (grad_coef, grad_own, d loss / d scale))``, the first
+    two the weight gradient ``grad_coef.T @ unit_rows + grad_own[:, None] * w0``.
     """
+    coef, own, scale = params
     n = len(class_idx)
-    inner = inner_products(coef)  # (k, C)
-    # ||w_c||^2 = coef_c . (gram @ coef_c); rounding may take a zero norm below 0
-    norms = np.sqrt(np.maximum(np.einsum("kc,kc->c", coef, inner), 0.0))
+    inner = inner_products(coef)  # (n, C)
+    inner += cross * own
+    # ||w_c||^2 = coef_c . inner_c + own_c * (w0_c . w_c); rounding may take
+    # a zero norm below 0
+    along_w0 = np.einsum("nc,nc->c", cross, coef) + own * sq_norms
+    norms = np.sqrt(np.maximum(np.einsum("nc,nc->c", coef, inner) + own * along_w0, 0.0))
     norms[norms == 0] = 1.0
-    cosines = inner[:n] / norms
+    cosines = inner / norms
     logits = scale * cosines + log_counts
     logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
@@ -488,11 +491,12 @@ def _cosine_softmax_loss(
     grad_logits /= n
 
     # d cos/d w_c = (x_hat - cos * w_c / ||w_c||) / ||w_c||: the x_hat part
-    # lands on the training rows' coefficients, the rest on w_c's own
+    # lands on the unit rows' coefficients, the rest on all of w_c's
     diag_coef = np.einsum("nc,nc->c", grad_logits, cosines)
-    grad_coef = coef * (-scale * diag_coef / norms**2)
-    grad_coef[:n] += grad_logits * (scale / norms)
-    return float(ce), grad_coef, float(diag_coef.sum())
+    along_w = -scale * diag_coef / norms**2
+    grad_coef = coef * along_w
+    grad_coef += grad_logits * (scale / norms)
+    return float(ce), (grad_coef, own * along_w, diag_coef.sum())
 
 
 class BSILLite:
@@ -528,57 +532,52 @@ class BSILLite:
     def learn_step(self, features: np.ndarray, labels: np.ndarray) -> None:
         if features.shape[0] == 0:
             raise LearnerError("empty training step")
-        self.steps_seen += 1
         new_ids = sorted(int(c) for c in np.unique(labels))
         overlap = [c for c in new_ids if c in self.weights]
         if overlap:
             raise LearnerError(f"classes {overlap} were already learned in an earlier step")
 
-        old_ids = sorted(self.weights)
+        # the learner changes only once the descent has returned
+        weights, counts = dict(self.weights), dict(self.counts)
         for c in new_ids:
             mean = features[labels == c].mean(axis=0)
             norm = np.linalg.norm(mean)
             # imprint init: unit-norm class prototype (keeps the training
             # dynamics independent of the feature scale)
-            self.weights[c] = mean / norm if norm > 0 else mean
-            self.counts[c] = int(np.sum(labels == c))
+            weights[c] = mean / norm if norm > 0 else mean
+            counts[c] = int(np.sum(labels == c))
 
-        all_ids = self.known_classes
-        weight_mat = np.stack([self.weights[int(c)] for c in all_ids])
-        count_vec = np.array([self.counts[int(c)] for c in all_ids], dtype=float)
-        anchor_mask = np.isin(all_ids, old_ids)
+        all_ids = np.array(sorted(weights), dtype=np.int64)
+        w0 = np.stack([weights[int(c)] for c in all_ids])
+        log_counts = np.log(np.array([counts[int(c)] for c in all_ids], dtype=float))
+        anchored = ~np.isin(all_ids, new_ids)
         class_idx = np.searchsorted(all_ids, labels)
+        # updates and the anchor keep each row unit-row terms plus a multiple of its w0
         unit_x, _ = _unit_rows(features)
-        # every update of a weight row adds multiples of the unit rows and of
-        # the row itself, and the anchor pulls it toward its snapshot, so the
-        # rows stay combinations of the unit rows, the imprints and the old
-        # weights: train their coefficients over those basis rows
-        basis = np.concatenate([unit_x, weight_mat])
-        inner_products = _inner_products(basis)
-        coef = np.zeros((len(basis), len(all_ids)))
-        coef[len(unit_x):] = np.eye(len(all_ids))
-        snapshot = coef[:, anchor_mask]
-        log_counts = np.log(count_vec)
+        loss_args = (_inner_products(unit_x), unit_x @ w0.T, np.einsum("cd,cd->c", w0, w0))
+        step = self.steps_seen + 1
 
-        for _ in range(self.epochs):
-            # gradient step on the data term alone; the quadratic anchor is
-            # applied below as an exact proximal step, stable for any strength
-            loss, grad_data, grad_scale = _cosine_softmax_loss(
-                coef, self.scale, inner_products, class_idx, log_counts
-            )
+        def gradient(params):
+            loss, grads = _cosine_softmax_loss(params, *loss_args, class_idx, log_counts)
             if not math.isfinite(loss):
-                raise LearnerError(
-                    f"non-finite loss at incremental step {self.steps_seen} (lr={self.lr})"
-                )
-            coef -= self.lr * grad_data
-            self.scale = max(self.scale - self.lr * grad_scale, 1e-3)
-            if self.anchor_strength > 0:
-                coef[:, anchor_mask] = _anchor_prox(
-                    coef[:, anchor_mask], snapshot, self.lr, self.anchor_strength
-                )
+                raise LearnerError(f"non-finite loss at incremental step {step} (lr={self.lr})")
+            return grads
 
-        for c, row in zip(all_ids, coef.T @ basis):
-            self.weights[int(c)] = row
+        def prox(params):
+            # after the gradient step: the scale floor, and the anchor's exact
+            # proximal step (any strength) to the old classes' start, coef 0, own 1
+            coef, own, scale = params
+            np.maximum(scale, 1e-3, out=scale)
+            if self.anchor_strength > 0:
+                for p, snapshot in ((coef.T, 0.0), (own, 1.0)):
+                    p[anchored] = _anchor_prox(p[anchored], snapshot, self.lr, self.anchor_strength)
+
+        start = [np.zeros((len(unit_x), len(w0))), np.ones(len(w0)), np.array(self.scale)]
+        coef, own, scale = descend(gradient, start, self.lr, self.epochs, prox)
+        w0 *= own[:, None]  # the weights, built in w0's buffer
+        w0 += coef.T @ unit_x
+        self.weights = dict(zip(all_ids.tolist(), w0))
+        self.counts, self.scale, self.steps_seen = counts, float(scale), step
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         if not self.weights:

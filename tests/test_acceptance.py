@@ -321,39 +321,40 @@ def test_criterion_07_balanced_softmax_gradient_check():
     worst_rel = 0.0
     for trial in range(10):
         n_classes = int(rng.integers(3, 7))
-        # 9 to 24 basis rows: odd trials take them through the Gram matrix,
+        # 9 to 17 unit rows: odd trials take them through the Gram matrix,
         # even trials through the weights
         dim = int(rng.integers(12, 16)) if trial % 2 else int(rng.integers(3, 5))
-        n = int(rng.integers(6, 18))
+        n = int(rng.integers(9, 18))
         unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
-        basis = np.concatenate([unit_x, rng.standard_normal((n_classes, dim)) * 1.5 + 0.2])
-        coef = rng.standard_normal((len(basis), n_classes)) * 0.3
-        coef[n:] += np.eye(n_classes)
+        w0 = rng.standard_normal((n_classes, dim)) * 1.5 + 0.2
+        coef = rng.standard_normal((n, n_classes)) * 0.3
+        own = 1.0 + rng.standard_normal(n_classes) * 0.3
         scale = float(rng.uniform(1.5, 10.0))
         class_idx = rng.integers(0, n_classes, n)
         log_counts = np.log(rng.integers(1, 30, n_classes).astype(float))
-        args = (_inner_products(basis), class_idx, log_counts)
-        _, grad_coef, grad_s = _cosine_softmax_loss(coef, scale, *args)
-        grad_w = grad_coef.T @ basis
+        rows = (_inner_products(unit_x), unit_x @ w0.T, np.sum(w0 * w0, axis=1))
+        args = (*rows, class_idx, log_counts)
+        _, (grad_coef, grad_own, grad_s) = _cosine_softmax_loss([coef, own, scale], *args)
+        grad_w = grad_coef.T @ unit_x + grad_own[:, None] * w0
 
-        # central differences along random coefficient directions against
-        # the weight-space gradient paired with each direction's weight move
+        # central differences along random parameter directions against the
+        # weight-space gradient paired with each direction's weight move
         h = 1e-6
         numeric, analytic = [], []
-        for _ in range(2 * coef.size):
-            delta = rng.standard_normal(coef.shape)
+        for _ in range(2 * (coef.size + own.size)):
+            d_coef, d_own = rng.standard_normal(coef.shape), rng.standard_normal(own.shape)
             numeric.append(
                 (
-                    _cosine_softmax_loss(coef + h * delta, scale, *args)[0]
-                    - _cosine_softmax_loss(coef - h * delta, scale, *args)[0]
+                    _cosine_softmax_loss([coef + h * d_coef, own + h * d_own, scale], *args)[0]
+                    - _cosine_softmax_loss([coef - h * d_coef, own - h * d_own, scale], *args)[0]
                 )
                 / (2 * h)
             )
-            analytic.append(float(np.sum(grad_w * (delta.T @ basis))))
+            analytic.append(float(np.sum(grad_w * (d_coef.T @ unit_x + d_own[:, None] * w0))))
         numeric, analytic = np.array(numeric), np.array(analytic)
         num_s = (
-            _cosine_softmax_loss(coef, scale + h, *args)[0]
-            - _cosine_softmax_loss(coef, scale - h, *args)[0]
+            _cosine_softmax_loss([coef, own, scale + h], *args)[0]
+            - _cosine_softmax_loss([coef, own, scale - h], *args)[0]
         ) / (2 * h)
         worst_rel = max(
             worst_rel,
@@ -362,11 +363,11 @@ def test_criterion_07_balanced_softmax_gradient_check():
         )
 
     unit_x, _ = _unit_rows(rng.standard_normal((9, 5)))
-    basis = np.concatenate([unit_x, rng.standard_normal((4, 5)) + 0.4])
-    coef = np.vstack([np.zeros((9, 4)), np.eye(4)])
-    args = (_inner_products(basis), rng.integers(0, 4, 9))
-    balanced = _cosine_softmax_loss(coef, 3.0, *args, np.log(np.full(4, 21.0)))[0]
-    plain = _cosine_softmax_loss(coef, 3.0, *args, np.zeros(4))[0]
+    w0 = rng.standard_normal((4, 5)) + 0.4
+    params = [np.zeros((9, 4)), np.ones(4), 3.0]
+    args = (_inner_products(unit_x), unit_x @ w0.T, np.sum(w0 * w0, axis=1), rng.integers(0, 4, 9))
+    balanced = _cosine_softmax_loss(params, *args, np.log(np.full(4, 21.0)))[0]
+    plain = _cosine_softmax_loss(params, *args, np.zeros(4))[0]
     equal_counts_ok = abs(balanced - plain) <= 1e-12
 
     _verdict(

@@ -21,6 +21,7 @@ from efcilab.learners import (
     _inner_products,
     _unit_rows,
     argmax_by_class,
+    descend,
     fit_softmax_head,
     run_incremental,
     select_source_class,
@@ -207,6 +208,41 @@ def test_ncm_incremental_mean_merging():
     ncm.learn_step(x[17:], y[17:])
     for c in range(3):
         assert np.allclose(ncm.means[c], x[y == c].mean(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# Descent
+
+
+def test_descend_matches_closed_form_iterates_and_calls_prox_each_epoch():
+    # on f(p) = sum a * (p - c)^2 / 2 a step scales p - c by 1 - lr * a, so
+    # the iterates are c + (1 - lr * a)^t * (p0 - c); the dyadic inputs keep
+    # every iterate exact
+    lr, epochs = 0.5, 8
+    a = [np.array([0.5, 1.0, 1.5]), np.array(1.5)]
+    c = [np.array([3.0, -2.0, 0.25]), np.array(-1.0)]
+    p0 = [np.array([-5.0, 7.5, 1.0]), np.array(4.0)]
+
+    def gradient(params):
+        return [ai * (p - ci) for ai, p, ci in zip(a, params, c)]
+
+    def iterate(t):
+        return [ci + (1 - lr * ai) ** t * (pi - ci) for ai, ci, pi in zip(a, c, p0)]
+
+    def close(got, want):
+        return all(np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w)) for g, w in zip(got, want))
+
+    params = [p.copy() for p in p0]
+    assert descend(gradient, params, lr, epochs) is params
+    assert close(params, iterate(epochs))
+
+    seen = []
+    params = descend(
+        gradient, [p.copy() for p in p0], lr, epochs, lambda ps: seen.append([p.copy() for p in ps])
+    )
+    assert len(seen) == epochs
+    assert all(close(got, iterate(t)) for t, got in enumerate(seen, start=1))
+    assert close(params, iterate(epochs))
 
 
 # ---------------------------------------------------------------------------
@@ -471,53 +507,60 @@ def weight_space_loss(weights, scale, unit_x, class_idx, class_counts):
 
 
 def random_loss_config(rng, dim):
-    """A BSIL-shaped loss: ``n`` unit rows then one imprint-like row per
-    class as the basis, and coefficients that start from ``[0 | I]`` and
-    have moved."""
+    """A BSIL-shaped loss: ``n`` unit rows, one imprint-like row ``w0`` per
+    class, and parameters ``(coef, own, scale)`` that have moved from their
+    start ``(0, 1, scale)``."""
     n_classes = int(rng.integers(3, 7))
-    n = int(rng.integers(5, 20))
+    n = int(rng.integers(7, 20))
     unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
-    basis = np.concatenate([unit_x, rng.standard_normal((n_classes, dim)) * 1.5 + 0.3])
-    coef = rng.standard_normal((len(basis), n_classes)) * 0.3
-    coef[n:] += np.eye(n_classes)
+    w0 = rng.standard_normal((n_classes, dim)) * 1.5 + 0.3
+    coef = rng.standard_normal((n, n_classes)) * 0.3
+    own = 1.0 + rng.standard_normal(n_classes) * 0.3
     scale = float(rng.uniform(1.0, 12.0))
     class_idx = rng.integers(0, n_classes, n)
     counts = rng.integers(1, 40, n_classes).astype(float)
-    return coef, scale, basis, class_idx, counts
+    return [coef, own, scale], unit_x, w0, class_idx, counts
 
 
-def coefficient_loss(coef, scale, basis, class_idx, counts):
-    return _cosine_softmax_loss(coef, scale, _inner_products(basis), class_idx, np.log(counts))
+def coefficient_loss(params, unit_x, w0, class_idx, counts):
+    args = (_inner_products(unit_x), unit_x @ w0.T, np.sum(w0 * w0, axis=1))
+    return _cosine_softmax_loss(params, *args, class_idx, np.log(counts))
+
+
+def weight_rows(coef, own, unit_x, w0):
+    return coef.T @ unit_x + own[:, None] * w0
 
 
 def test_balanced_softmax_gradient_matches_finite_differences():
     rng = np.random.default_rng(123)
     h = 1e-6
-    # 8 to 25 basis rows: dim 3 takes every config through the weights,
+    # 7 to 19 unit rows: dim 3 takes every config through the weights,
     # dim 16 through the Gram matrix
     for dim in [3, 16] * 5:
-        coef, scale, basis, class_idx, counts = random_loss_config(rng, dim)
-        _, grad_coef, grad_s = coefficient_loss(coef, scale, basis, class_idx, counts)
-        grad_w = grad_coef.T @ basis
-        # along a coefficient direction delta the loss moves by
-        # <grad_w, delta.T @ basis> per unit step
+        params, unit_x, w0, class_idx, counts = random_loss_config(rng, dim)
+        coef, own, scale = params
+
+        def loss_at(*params):
+            return coefficient_loss(list(params), unit_x, w0, class_idx, counts)[0]
+
+        _, (grad_coef, grad_own, grad_s) = coefficient_loss(params, unit_x, w0, class_idx, counts)
+        grad_w = weight_rows(grad_coef, grad_own, unit_x, w0)
+        # along a parameter direction (d_coef, d_own) the loss moves by
+        # <grad_w, d_coef.T @ unit_x + d_own * w0> per unit step
         numeric, analytic = [], []
-        for _ in range(2 * coef.size):
-            delta = rng.standard_normal(coef.shape)
+        for _ in range(2 * (coef.size + own.size)):
+            d_coef, d_own = rng.standard_normal(coef.shape), rng.standard_normal(own.shape)
             numeric.append(
                 (
-                    coefficient_loss(coef + h * delta, scale, basis, class_idx, counts)[0]
-                    - coefficient_loss(coef - h * delta, scale, basis, class_idx, counts)[0]
+                    loss_at(coef + h * d_coef, own + h * d_own, scale)
+                    - loss_at(coef - h * d_coef, own - h * d_own, scale)
                 )
                 / (2 * h)
             )
-            analytic.append(np.sum(grad_w * (delta.T @ basis)))
+            analytic.append(np.sum(grad_w * weight_rows(d_coef, d_own, unit_x, w0)))
         numeric, analytic = np.array(numeric), np.array(analytic)
         assert np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-9) <= 1e-4
-        num_s = (
-            coefficient_loss(coef, scale + h, basis, class_idx, counts)[0]
-            - coefficient_loss(coef, scale - h, basis, class_idx, counts)[0]
-        ) / (2 * h)
+        num_s = (loss_at(coef, own, scale + h) - loss_at(coef, own, scale - h)) / (2 * h)
         assert abs(grad_s - num_s) / max(abs(num_s), 1e-9) <= 1e-4
 
 
@@ -525,14 +568,16 @@ def test_balanced_softmax_gradient_matches_finite_differences():
 def test_coefficient_loss_matches_weight_space_loss(dim):
     rng = np.random.default_rng(7 + dim)
     for _ in range(10):
-        coef, scale, basis, class_idx, counts = random_loss_config(rng, dim)
-        loss, grad_coef, grad_s = coefficient_loss(coef, scale, basis, class_idx, counts)
-        n = len(class_idx)
+        params, unit_x, w0, class_idx, counts = random_loss_config(rng, dim)
+        coef, own, scale = params
+        loss, grads = coefficient_loss(params, unit_x, w0, class_idx, counts)
+        grad_coef, grad_own, grad_s = grads
         ref_loss, ref_w, ref_s = weight_space_loss(
-            coef.T @ basis, scale, basis[:n], class_idx, counts
+            weight_rows(coef, own, unit_x, w0), scale, unit_x, class_idx, counts
         )
+        grad_w = weight_rows(grad_coef, grad_own, unit_x, w0)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-        assert np.max(np.abs(grad_coef.T @ basis - ref_w)) <= 1e-12 * np.max(np.abs(ref_w))
+        assert np.max(np.abs(grad_w - ref_w)) <= 1e-12 * np.max(np.abs(ref_w))
         assert abs(grad_s - ref_s) <= 1e-12 * max(abs(ref_s), 1e-9)
 
 
@@ -557,11 +602,11 @@ def test_anchor_prox_minimises_its_objective():
 
 def test_equal_counts_reduce_to_plain_softmax():
     rng = np.random.default_rng(4)
-    coef, scale, basis, class_idx, _ = random_loss_config(rng, 8)
-    counts_equal = np.full(coef.shape[1], 17.0)
-    counts_one = np.ones(coef.shape[1])
-    balanced = coefficient_loss(coef, scale, basis, class_idx, counts_equal)[0]
-    plain = coefficient_loss(coef, scale, basis, class_idx, counts_one)[0]
+    params, unit_x, w0, class_idx, _ = random_loss_config(rng, 8)
+    counts_equal = np.full(len(w0), 17.0)
+    counts_one = np.ones(len(w0))
+    balanced = coefficient_loss(params, unit_x, w0, class_idx, counts_equal)[0]
+    plain = coefficient_loss(params, unit_x, w0, class_idx, counts_one)[0]
     assert abs(balanced - plain) <= 1e-12
 
 
@@ -596,13 +641,13 @@ def reference_bsil_step(learner, features, labels):
     return w, scale
 
 
-# basis rows: 12 unit rows plus 3 classes at step 1 (15), plus 6 at step 2
-# (18). At dim 8 step 1 takes the Gram order (15 <= 16) and step 2 the
-# weights order (18 > 16); at dim 32 both take the Gram order
+# 18 unit rows at each step: the weights order at dim 8 (18 > 16), the Gram
+# order at dim 32
 @pytest.mark.parametrize("dim", [8, 32])
 @pytest.mark.parametrize("strength", [0.0, 0.1])
 def test_bsil_matches_full_dimension_oracle(dim, strength):
-    ds = synth_features(SynthSpec(n_classes=6, dim=dim, n_train=4, n_test=2, separation=3.0, seed=dim))
+    spec = SynthSpec(n_classes=6, dim=dim, n_train=6, n_test=2, separation=3.0, seed=dim)
+    ds = synth_features(spec)
     sc = Scenario(kind="equal", steps=((0, 1, 2), (3, 4, 5)))
     learner = BSILLite(lr=0.1, epochs=100, anchor_strength=strength)
     for x, y, _, _ in step_arrays(ds, sc):
@@ -613,16 +658,15 @@ def test_bsil_matches_full_dimension_oracle(dim, strength):
         assert abs(learner.scale - ref_scale) <= 1e-10 * ref_scale
 
 
-# 6 rows and 3 classes make 9 basis rows: the weights order at dim 4, the
-# Gram order at dim 16
+# 10 unit rows: the weights order at dim 4, the Gram order at dim 16
 @pytest.mark.parametrize("dim", [4, 16])
 def test_bsil_zero_mean_class_trains_from_a_zero_weight_row(dim):
     # class 0's rows cancel, so its imprint is the zero row, whose cosine
     # the zero-norm rule sets to 0 in the first epoch
     rng = np.random.default_rng(dim)
     row = rng.normal(0, 1, dim)
-    features = np.vstack([row, -row, rng.normal(2, 1, (4, dim))])
-    labels = np.array([0, 0, 1, 1, 2, 2])
+    features = np.vstack([row, -row, rng.normal(2, 1, (8, dim))])
+    labels = np.repeat([0, 1, 2], [2, 4, 4])
     learner = BSILLite(lr=0.1, epochs=20)
     ref_w, ref_scale = reference_bsil_step(learner, features, labels)
     learner.learn_step(features, labels)
@@ -802,6 +846,43 @@ def test_learner_state_is_exemplar_free(kind):
         assert not any(np.shares_memory(a, b) for a in held for b in inputs)
         held_bytes.append(sum(a.nbytes for a in held))
     assert held_bytes[0] == held_bytes[1]
+
+
+def _state(learner):
+    """A learner's attributes, with every array as its bytes."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+
+    return {name: plain(value) for name, value in vars(learner).items()}
+
+
+@pytest.mark.parametrize(
+    "kind, failure", [("fetril", "not finite"), ("bsil", r"incremental step 2 \(lr=0.1\)")]
+)
+def test_failed_step_leaves_the_head_unchanged(kind, failure):
+    # a rejected step and a step whose descent raises change nothing: predict
+    # still works, the same classes can be retried, and BSIL's error names
+    # the number of the step among the accepted ones
+    rng = np.random.default_rng(12)
+    x1, x2, queries = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, (4, 4)), rng.normal(0, 1, (8, 4))
+    y1, y2 = np.repeat([0, 1, 2], 2), np.repeat([3, 4], 2)
+    broken = x2.copy()
+    broken[1, 2] = np.nan
+    learner, clean = (learners.make_learner(kind, {"epochs": 5}) for _ in range(2))
+    learner.learn_step(x1, y1)
+    clean.learn_step(x1, y1)
+    with pytest.raises(LearnerError, match="already learned"):
+        learner.learn_step(x2, np.repeat([2, 3], 2))
+    with np.errstate(invalid="ignore"), pytest.raises(LearnerError, match=failure):
+        learner.learn_step(broken, y2)
+    assert _state(learner) == _state(clean)
+    assert np.array_equal(learner.predict(queries), clean.predict(queries))
+    learner.learn_step(x2, y2)
+    clean.learn_step(x2, y2)
+    assert _state(learner) == _state(clean)
 
 
 def test_run_incremental_is_deterministic():
