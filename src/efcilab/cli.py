@@ -25,7 +25,7 @@ from .grid import (
     write_results,
 )
 from .learners import LearnerError
-from .report import FORMATS, load_bundle_json, render_bundle, write_bundle_json
+from .report import load_bundle_json, render_bundle, report_formats, write_bundle_json
 from .stats.design import column_table
 
 EXIT_OK = 0
@@ -42,6 +42,23 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return value
+
+
+def _alpha(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < 1:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"expected a number strictly between 0 and 1, got {text!r}")
+    return value
+
+
+def _formats(text: str) -> set[str]:
+    try:
+        return report_formats(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_config_arg(args) -> GridConfig:
@@ -122,14 +139,13 @@ def cmd_analyze(args) -> int:
         )
         return EXIT_USAGE
     table = column_table(*(results.columns for results in loaded))
-    formats = set(args.formats.split(",")) if args.formats else set(FORMATS)
     bundle = build_report_bundle(
         table, alpha=args.alpha, config_hash=hashes[0] if len(set(hashes)) == 1 else "mixed"
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bundle_json(bundle, out_dir / "bundle.json")
-    written = render_bundle(bundle, out_dir, formats)
+    written = render_bundle(bundle, out_dir, args.formats)
     print(f"wrote bundle.json and {len(written)} report files to {out_dir}")
     for warning in bundle["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
@@ -138,8 +154,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_report(args) -> int:
     bundle = load_bundle_json(args.bundle)
-    formats = set(args.formats.split(",")) if args.formats else set(FORMATS)
-    written = render_bundle(bundle, Path(args.out), formats)
+    written = render_bundle(bundle, Path(args.out), args.formats)
     print(f"wrote {len(written)} report files to {args.out}")
     return EXIT_OK
 
@@ -156,6 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config base seed")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
+
+    def add_formats(p):
+        p.add_argument(
+            "--formats", type=_formats, help="comma-separated subset of csv,md,svg (default all)"
+        )
 
     p_synth = sub.add_parser("synth", help="write feature CSVs for the configured synthetic datasets")
     add_common(p_synth)
@@ -184,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="build the statistical report from results files")
     p_an.add_argument("--results", nargs="+", required=True, help="one or more results.csv files")
     p_an.add_argument("--out", required=True)
-    p_an.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
-    p_an.add_argument("--formats", help="comma-separated subset of csv,md,svg (default all)")
+    p_an.add_argument("--alpha", type=_alpha, default=0.05, help="significance level (default 0.05)")
+    add_formats(p_an)
     p_an.add_argument(
         "--force-mixed", action="store_true", help="combine results files with different config hashes"
     )
@@ -194,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="re-render report files from a saved bundle.json")
     p_rep.add_argument("--bundle", required=True)
     p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--formats", help="comma-separated subset of csv,md,svg (default all)")
+    add_formats(p_rep)
     p_rep.set_defaults(func=cmd_report)
     return parser
 
@@ -209,8 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, LearnerError, FileNotFoundError) as exc:
-        # covers config, results, scenario and dataset errors
+    except (ValueError, LearnerError, OSError) as exc:
+        # covers config, results, scenario and dataset errors, and any file
+        # that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -121,7 +121,9 @@ class StreamingLDA:
     Memory stays a few ``dim x dim`` arrays: a step's within-class scatter
     is one product over all its centred rows, and the discriminant is
     solved from one shrunk copy of the scatter, checked positive definite
-    by its Cholesky factor, which is then dropped.
+    by its Cholesky factor, which is then dropped. ``predict`` solves it
+    once per step, on its first call after a ``learn_step``, and keeps it
+    until the next ``learn_step``.
     """
 
     def __init__(self, shrinkage: float = 1e-4):
@@ -133,6 +135,8 @@ class StreamingLDA:
         self.counts: dict[int, int] = {}
         self.scatter: np.ndarray | None = None
         self.total = 0
+        # (ids, weights, biases) from the first predict after a learn_step
+        self._discriminant: tuple | None = None
 
     @property
     def known_classes(self) -> np.ndarray:
@@ -141,6 +145,7 @@ class StreamingLDA:
     def learn_step(self, features: np.ndarray, labels: np.ndarray) -> None:
         if features.shape[0] == 0:
             raise LearnerError("empty training step")
+        self._discriminant = None
         if self.dim is None:
             self.dim = int(features.shape[1])
             self.scatter = np.zeros((self.dim, self.dim))
@@ -190,7 +195,9 @@ class StreamingLDA:
         return ids, weights, biases
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        ids, weights, biases = self.discriminant_parameters()
+        if self._discriminant is None:
+            self._discriminant = self.discriminant_parameters()
+        ids, weights, biases = self._discriminant
         scores = features @ weights.T + biases
         return argmax_by_class(scores, ids)
 
@@ -441,10 +448,10 @@ class FeTrILLite:
 # BSIL-style balanced-softmax cosine head
 
 
-def _unit_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with each nonzero row scaled to unit norm; zero rows stay zero."""
     norms = np.linalg.norm(arr, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return arr / safe[:, None], safe
+    return arr / np.where(norms > 0, norms, 1.0)[:, None]
 
 
 def _anchor_prox(weights: np.ndarray, snapshot, lr: float, strength: float) -> np.ndarray:
@@ -553,7 +560,7 @@ class BSILLite:
         anchored = ~np.isin(all_ids, new_ids)
         class_idx = np.searchsorted(all_ids, labels)
         # updates and the anchor keep each row unit-row terms plus a multiple of its w0
-        unit_x, _ = _unit_rows(features)
+        unit_x = _unit_rows(features)
         loss_args = (_inner_products(unit_x), unit_x @ w0.T, np.einsum("cd,cd->c", w0, w0))
         step = self.steps_seen + 1
 
@@ -583,7 +590,7 @@ class BSILLite:
         if not self.weights:
             raise LearnerError("predict before any update")
         ids = self.known_classes
-        unit_w, _ = _unit_rows(np.stack([self.weights[int(c)] for c in ids]))
+        unit_w = _unit_rows(np.stack([self.weights[int(c)] for c in ids]))
         # a row's positive norm scales all its cosines alike, so its argmax
         # needs no normalised copy of the features; a zero row scores 0
         return argmax_by_class(features @ unit_w.T, ids)
@@ -621,28 +628,35 @@ def run_incremental(
 
     Step k's rows are selected when the loop reaches it, from the step
     index of every row: the learner trains on the train rows of step k and
-    is then evaluated on every test subset i <= k and on the cumulative
-    test set of steps 1..k. Only one step's rows are held at a time.
+    is then scored on the test rows of each step i <= k, one ``predict``
+    call per subset. The cumulative accuracy of steps 1..k comes from the
+    subsets' summed hits and row counts, so the cumulative test set is
+    never copied: one step's train rows and one subset's test rows are
+    held at a time.
     """
     learner = make_learner(kind, hyperparams)
     step_of = partition_dataset(ds, sc)
+    is_test = ~ds.is_train
     k_total = sc.n_steps
 
     per_subset = np.full((k_total, k_total), np.nan)
     cumulative = np.full(k_total, np.nan)
     for k in range(1, k_total + 1):
         train = ds.is_train & (step_of == k)
-        test = ~ds.is_train & (1 <= step_of) & (step_of <= k)
+        hits = rows = 0
         try:
             learner.learn_step(ds.features[train], ds.labels[train])
-            predictions = learner.predict(ds.features[test])
+            for i in range(1, k + 1):
+                test = is_test & (step_of == i)
+                predictions = learner.predict(ds.features[test])
+                subset_hits = int(np.count_nonzero(predictions == ds.labels[test]))
+                subset_rows = int(np.count_nonzero(test))
+                per_subset[k - 1, i - 1] = subset_hits / subset_rows
+                hits += subset_hits
+                rows += subset_rows
         except LearnerError as exc:
             raise LearnerError(f"step {k}: {exc}") from exc
-        hits = predictions == ds.labels[test]
-        subset_of = step_of[test]
-        for i in range(1, k + 1):
-            per_subset[k - 1, i - 1] = float(hits[subset_of == i].mean())
-        cumulative[k - 1] = float(hits.mean())
+        cumulative[k - 1] = hits / rows
 
     matrix = AccuracyMatrix(per_subset=per_subset, cumulative=cumulative)
     matrix.validate()

@@ -278,12 +278,18 @@ def load_bundle_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def render_bundle(bundle: dict, out_dir: str | Path, formats: set[str] | None = None) -> list[Path]:
-    """Write every requested artifact; returns the paths written."""
-    formats = set(formats or FORMATS)
+def report_formats(formats) -> set[str]:
+    """``formats`` as a set, each one of ``FORMATS``; raises ValueError otherwise."""
+    formats = set(formats)
     unknown = formats - set(FORMATS)
     if unknown:
         raise ValueError(f"unknown report formats: {sorted(unknown)}; expected {FORMATS}")
+    return formats
+
+
+def render_bundle(bundle: dict, out_dir: str | Path, formats: set[str] | None = None) -> list[Path]:
+    """Write every requested artifact; returns the paths written."""
+    formats = report_formats(formats or FORMATS)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

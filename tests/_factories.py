@@ -24,7 +24,7 @@ def split_arrays(ds, train: bool):
 
 def step_arrays(ds, sc):
     """Each step's ``(x, y, test_x, test_y)``: the train rows of step k and
-    the test rows of steps 1..k, as ``run_incremental`` hands them out."""
+    the cumulative test rows of steps 1..k."""
     step_of = partition_dataset(ds, sc)
     for k in range(1, sc.n_steps + 1):
         train = ds.is_train & (step_of == k)

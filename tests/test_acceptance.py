@@ -325,7 +325,7 @@ def test_criterion_07_balanced_softmax_gradient_check():
         # even trials through the weights
         dim = int(rng.integers(12, 16)) if trial % 2 else int(rng.integers(3, 5))
         n = int(rng.integers(9, 18))
-        unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
+        unit_x = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
         w0 = rng.standard_normal((n_classes, dim)) * 1.5 + 0.2
         coef = rng.standard_normal((n, n_classes)) * 0.3
         own = 1.0 + rng.standard_normal(n_classes) * 0.3
@@ -362,7 +362,7 @@ def test_criterion_07_balanced_softmax_gradient_check():
             abs(grad_s - num_s) / max(abs(num_s), 1e-9),
         )
 
-    unit_x, _ = _unit_rows(rng.standard_normal((9, 5)))
+    unit_x = _unit_rows(rng.standard_normal((9, 5)))
     w0 = rng.standard_normal((4, 5)) + 0.4
     params = [np.zeros((9, 4)), np.ones(4), 3.0]
     args = (_inner_products(unit_x), unit_x @ w0.T, np.sum(w0 * w0, axis=1), rng.integers(0, 4, 9))

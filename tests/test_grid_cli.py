@@ -584,6 +584,55 @@ def test_cli_grid_rejects_jobs_below_one(tmp_path, monkeypatch, capsys, args, me
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("analyze", "--results"), ("grid", "--config"), ("report", "--bundle")]
+)
+def test_cli_unreadable_input_is_a_usage_error(tmp_path, capsys, command, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main([command, flag, str(folder), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def analyzed(tmp_path_factory):
+    """A results.csv that analyzes, and the bundle.json analyze writes from it."""
+    root = tmp_path_factory.mktemp("analyzed")
+    results = write_results(run_grid(toy_config(learners=("dslda", "ncm"))), root / "g")
+    assert main(["analyze", "--results", str(results), "--out", str(root / "r")]) == 0
+    return results, root / "r" / "bundle.json"
+
+
+_ALPHA_ERROR = "expected a number strictly between 0 and 1, got '{}'"
+_FORMATS_ERROR = "unknown report formats: ['pdf']; expected ('csv', 'md', 'svg')"
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        *(
+            pytest.param("analyze", "--alpha", v, _ALPHA_ERROR.format(v), id=f"alpha={v}")
+            for v in ("nan", "-1", "0", "1", "2", "x")
+        ),
+        pytest.param("analyze", "--formats", "pdf", _FORMATS_ERROR, id="analyze-pdf"),
+        pytest.param("analyze", "--formats", "csv,pdf", _FORMATS_ERROR, id="analyze-csv,pdf"),
+        pytest.param("report", "--formats", "pdf", _FORMATS_ERROR, id="report-pdf"),
+    ],
+)
+def test_cli_rejects_a_bad_option_before_any_work(
+    analyzed, tmp_path, monkeypatch, capsys, command, option, value, message
+):
+    results, bundle = analyzed
+    source = ["--results", str(results)] if command == "analyze" else ["--bundle", str(bundle)]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--out", "out", option, value])
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_run_single_cell(tmp_path, capsys):
     cfg_path = write_toy_config(tmp_path)
     code = main([

@@ -26,7 +26,7 @@ from efcilab.learners import (
     run_incremental,
     select_source_class,
 )
-from efcilab.scenario import Scenario, build_scenario
+from efcilab.scenario import Scenario, build_scenario, partition_dataset
 
 
 def batch_lda_params(x, y, shrinkage):
@@ -485,7 +485,9 @@ def weight_space_loss(weights, scale, unit_x, class_idx, class_counts):
     ``scale * cos(weights_c, x)`` offset by ``log(count_c)`` inside the
     softmax. Returns ``(loss, d loss / d weights, d loss / d scale)``."""
     n = unit_x.shape[0]
-    unit_w, w_norms = _unit_rows(weights)
+    w_norms = np.linalg.norm(weights, axis=1)
+    w_norms[w_norms == 0] = 1.0  # a zero row's cosines are 0
+    unit_w = weights / w_norms[:, None]
     cosines = unit_x @ unit_w.T  # (n, C)
     logits = scale * cosines + np.log(class_counts)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -512,7 +514,7 @@ def random_loss_config(rng, dim):
     start ``(0, 1, scale)``."""
     n_classes = int(rng.integers(3, 7))
     n = int(rng.integers(7, 20))
-    unit_x, _ = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
+    unit_x = _unit_rows(rng.standard_normal((n, dim)) * 2.0)
     w0 = rng.standard_normal((n_classes, dim)) * 1.5 + 0.3
     coef = rng.standard_normal((n, n_classes)) * 0.3
     own = 1.0 + rng.standard_normal(n_classes) * 0.3
@@ -804,9 +806,9 @@ def test_ncm_stream_matches_loop_oracle(kind, n_incr_steps):
 
 
 def test_run_incremental_holds_one_step_of_rows_at_a_time():
-    # 10 steps of 2 classes: the largest step holds 40 train and 400 test
-    # rows, while every step's rows held at once are 400 train and 2,200
-    # cumulative test rows
+    # 10 steps of 2 classes: a step holds its 40 train rows and one test
+    # subset's 40 rows at a time, while every step's rows held at once are
+    # 400 train and 2,200 cumulative test rows
     ds = synth_features(SynthSpec(n_classes=20, dim=64, n_train=20, n_test=20, separation=4.0, seed=4))
     sc = build_scenario(list(range(20)), "equal", 10, seed=4)
     every_step = sum(sum(a.nbytes for a in step) for step in step_arrays(ds, sc))
@@ -817,6 +819,89 @@ def test_run_incremental_holds_one_step_of_rows_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < every_step / 2
+
+
+def cumulative_copy_matrix(kind, ds, sc, hyperparams):
+    """The accuracy matrix from one copy of the cumulative test set and one
+    ``predict`` per step: each subset's and the whole set's accuracy are
+    read from the hits of that one prediction."""
+    learner = learners.make_learner(kind, hyperparams)
+    step_of = partition_dataset(ds, sc)
+    per_subset = np.full((sc.n_steps, sc.n_steps), np.nan)
+    cumulative = np.full(sc.n_steps, np.nan)
+    for k in range(1, sc.n_steps + 1):
+        train = ds.is_train & (step_of == k)
+        test = ~ds.is_train & (1 <= step_of) & (step_of <= k)
+        learner.learn_step(ds.features[train], ds.labels[train])
+        hits = learner.predict(ds.features[test]) == ds.labels[test]
+        for i in range(1, k + 1):
+            per_subset[k - 1, i - 1] = float(hits[step_of[test] == i].mean())
+        cumulative[k - 1] = float(hits.mean())
+    return per_subset, cumulative
+
+
+@pytest.mark.parametrize("kind, n_incr_steps", [("equal", 4), ("half", 3)])
+@pytest.mark.parametrize("learner", learners.LEARNER_KINDS)
+def test_per_subset_scoring_matches_one_cumulative_prediction(learner, kind, n_incr_steps):
+    ds = synth_features(SynthSpec(n_classes=12, dim=16, n_train=10, n_test=9, separation=2.0, seed=13))
+    sc = build_scenario(list(range(12)), kind, n_incr_steps, seed=13)
+    matrix = run_incremental(learner, ds, sc, {})
+    per_subset, cumulative = cumulative_copy_matrix(learner, ds, sc, {})
+    assert np.nanmin(per_subset) < 1.0  # not a trivial stream
+    assert matrix.per_subset.tobytes() == per_subset.tobytes()
+    assert matrix.cumulative.tobytes() == cumulative.tobytes()
+
+
+@pytest.mark.parametrize("kind", learners.LEARNER_KINDS)
+def test_run_incremental_peak_is_a_few_test_subsets(kind):
+    # 10 steps of 2 classes with 200 test rows each: scoring the cumulative
+    # test set at step 10 would copy ten subsets' features at once
+    ds = synth_features(SynthSpec(n_classes=20, dim=64, n_train=10, n_test=200, separation=4.0, seed=14))
+    sc = build_scenario(list(range(20)), "equal", 10, seed=14)
+    subset_bytes = 2 * 200 * 64 * ds.features.itemsize
+    tracemalloc.start()
+    try:
+        run_incremental(kind, ds, sc, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * subset_bytes
+
+
+def test_dslda_solves_its_discriminant_once_per_step(monkeypatch):
+    calls = {"predict": 0, "discriminant_parameters": 0}
+    for name in calls:
+        original = getattr(StreamingLDA, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(StreamingLDA, name, counted)
+    ds = synth_features(SynthSpec(n_classes=10, dim=6, n_train=8, n_test=4, separation=4.0, seed=15))
+    run_incremental("dslda", ds, build_scenario(list(range(10)), "equal", 5, seed=15), {})
+    assert calls == {"predict": 1 + 2 + 3 + 4 + 5, "discriminant_parameters": 5}
+
+
+def test_dslda_learn_step_discards_the_solved_discriminant():
+    # the second step brings new classes, so a kept first-step discriminant
+    # could not predict the queries drawn from them
+    rng = np.random.default_rng(16)
+    centres = rng.normal(0, 6, (4, 5))
+    steps = [
+        (np.repeat(centres[ids], 6, axis=0) + rng.normal(0, 1, (12, 5)), np.repeat(ids, 6))
+        for ids in ([0, 1], [2, 3])
+    ]
+    queries = centres[[2, 3]] + rng.normal(0, 0.1, (2, 5))
+    used, fresh = StreamingLDA(), StreamingLDA()
+    used.learn_step(*steps[0])
+    before = used.predict(queries)
+    for learner in (used, fresh):
+        learner.learn_step(*steps[1])
+    after = used.predict(queries)
+    assert set(before.tolist()) <= {0, 1}
+    assert after.tolist() == [2, 3]
+    assert np.array_equal(after, fresh.predict(queries))
 
 
 def _held_arrays(learner):
