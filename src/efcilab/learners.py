@@ -4,7 +4,8 @@ Four algorithms behind one exemplar-free contract (``learn_step`` sees only
 the current step's training data):
 
 * ``StreamingLDA`` — class means and shared scatter merged per class
-  block, with shrinkage; linear discriminant prediction.
+  block, with shrinkage; linear discriminant prediction. At shrinkage 1
+  it keeps no scatter and solves nothing.
 * ``FeTrILLite`` — frozen class means plus a linear head retrained each
   step on real new-class features and pseudo-features for past classes.
   A pseudo-feature is a real row plus one offset per past class; the head
@@ -14,7 +15,7 @@ the current step's training data):
   balanced-softmax cross-entropy on new-class features and an L2 anchor
   that ties previous class weights to their snapshot. A feature-space
   stand-in for fine-tuning-based methods.
-* ``NearestClassMean`` — running class means, nearest-mean prediction.
+* ``NearestClassMean`` — ``StreamingLDA`` at shrinkage 1: nearest class mean.
 
 One fixed-step loop, ``descend``, drives both gradient-descent heads on
 dual coefficients: every update of a weight row adds a combination of
@@ -32,6 +33,7 @@ Ties in every argmax go to the lowest class id.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +126,15 @@ class StreamingLDA:
     by its Cholesky factor, which is then dropped. ``predict`` solves it
     once per step, on its first call after a ``learn_step``, and keeps it
     until the next ``learn_step``.
+
+    At shrinkage 1 no scatter is kept and nothing is solved: the scores are
+    ``x . mu - ||mu||^2 / 2``, nearest-mean scoring, for one known class too.
     """
 
     def __init__(self, shrinkage: float = 1e-4):
-        if shrinkage < 0 or shrinkage > 1:
-            raise LearnerError(f"shrinkage must lie in [0, 1], got {shrinkage}")
+        if isinstance(shrinkage, bool) or not 0 <= shrinkage <= 1:  # NaN fails too
+            raise LearnerError(f"shrinkage must lie in [0, 1], got {shrinkage!r}")
         self.shrinkage = float(shrinkage)
-        self.dim: int | None = None
         self.means: dict[int, np.ndarray] = {}
         self.counts: dict[int, int] = {}
         self.scatter: np.ndarray | None = None
@@ -146,15 +150,16 @@ class StreamingLDA:
         if features.shape[0] == 0:
             raise LearnerError("empty training step")
         self._discriminant = None
-        if self.dim is None:
-            self.dim = int(features.shape[1])
-            self.scatter = np.zeros((self.dim, self.dim))
+        if self.scatter is None and self.shrinkage < 1:
+            dim = features.shape[1]
+            self.scatter = np.zeros((dim, dim))
         ids, inverse = np.unique(labels, return_inverse=True)
         block_means = np.stack([features[inverse == j].mean(axis=0) for j in range(len(ids))])
-        centred = block_means[inverse]
-        np.subtract(features, centred, out=centred)
-        self.scatter += centred.T @ centred
-        del centred
+        if self.scatter is not None:
+            centred = block_means[inverse]
+            np.subtract(features, centred, out=centred)
+            self.scatter += centred.T @ centred
+            del centred
         for c, n_b, mean_b in zip(ids.tolist(), np.bincount(inverse).tolist(), block_means):
             n_a = self.counts.get(c, 0)
             if n_a == 0:
@@ -162,7 +167,8 @@ class StreamingLDA:
             else:
                 n = n_a + n_b
                 delta = mean_b - self.means[c]
-                self.scatter += (n_a * n_b / n) * np.outer(delta, delta)
+                if self.scatter is not None:
+                    self.scatter += (n_a * n_b / n) * np.outer(delta, delta)
                 self.means[c] = self.means[c] + delta * (n_b / n)
             self.counts[c] = n_a + n_b
             self.total += n_b
@@ -171,6 +177,8 @@ class StreamingLDA:
         """Pooled within-class covariance (population normalization)."""
         if self.total == 0:
             raise LearnerError("predict before any update")
+        if self.scatter is None:
+            raise LearnerError("no covariance is kept at shrinkage 1")
         return self.scatter / self.total
 
     def discriminant_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,11 +186,14 @@ class StreamingLDA:
         if self.total == 0:
             raise LearnerError("predict before any update")
         ids = self.known_classes
+        if self.scatter is None:  # shrinkage 1: Lambda is the identity
+            mu = np.stack([self.means[int(c)] for c in ids])
+            return ids, mu, -0.5 * np.sum(mu * mu, axis=1)
         if len(ids) < 2:
             raise LearnerError(f"prediction needs at least 2 known classes, have {len(ids)}")
         shrunk = self.covariance()
         shrunk *= 1.0 - self.shrinkage
-        shrunk.flat[:: self.dim + 1] += self.shrinkage
+        shrunk.flat[:: len(shrunk) + 1] += self.shrinkage
         try:
             np.linalg.cholesky(shrunk)  # only the check that it is positive definite
         except np.linalg.LinAlgError:
@@ -202,43 +213,16 @@ class StreamingLDA:
         return argmax_by_class(scores, ids)
 
 
-# ---------------------------------------------------------------------------
-# Nearest class mean
-
-
-class NearestClassMean:
-    """Running class means with nearest-mean prediction."""
+class NearestClassMean(StreamingLDA):
+    """Nearest class mean: ``StreamingLDA`` fixed at shrinkage 1."""
 
     def __init__(self):
-        self.means: dict[int, np.ndarray] = {}
-        self.counts: dict[int, int] = {}
+        super().__init__(shrinkage=1.0)
 
-    @property
-    def known_classes(self) -> np.ndarray:
-        return np.array(sorted(self.means), dtype=np.int64)
-
-    def learn_step(self, features: np.ndarray, labels: np.ndarray) -> None:
-        if features.shape[0] == 0:
-            raise LearnerError("empty training step")
-        for c in np.unique(labels):
-            c = int(c)
-            block = features[labels == c]
-            n_new = block.shape[0]
-            n_old = self.counts.get(c, 0)
-            if n_old == 0:
-                self.means[c] = block.mean(axis=0)
-            else:
-                self.means[c] = (n_old * self.means[c] + block.sum(axis=0)) / (n_old + n_new)
-            self.counts[c] = n_old + n_new
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if not self.means:
-            raise LearnerError("predict before any update")
-        ids = self.known_classes
-        mu = np.stack([self.means[int(c)] for c in ids])
-        # argmin distance == argmax of the negated squared distance
-        scores = features @ mu.T - 0.5 * np.sum(mu * mu, axis=1)
-        return argmax_by_class(scores, ids)
+    # bound here, not inherited, so that tracing this class's own methods
+    # (benchmarks/spans.py) keeps their spans apart from StreamingLDA's
+    learn_step = StreamingLDA.learn_step
+    predict = StreamingLDA.predict
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +239,19 @@ def descend(gradient, params: list, lr: float, epochs: int, prox=None) -> list:
         if prox is not None:
             prox(params)
     return params
+
+
+def _check_descent_settings(epochs, positive: dict, nonnegative: dict) -> None:
+    """Reject ``epochs`` not an integer >= 1 and values not finite and > 0
+    (``positive``) or >= 0 (``nonnegative``); a bool is neither, NaN fails both."""
+    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 1:
+        raise LearnerError(f"epochs must be an integer >= 1, got {epochs!r}")
+    for name, value in positive.items():
+        if isinstance(value, bool) or not 0 < value < math.inf:
+            raise LearnerError(f"{name} must be a finite number > 0, got {value!r}")
+    for name, value in nonnegative.items():
+        if isinstance(value, bool) or not 0 <= value < math.inf:
+            raise LearnerError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _inner_products(basis: np.ndarray):
@@ -382,8 +379,7 @@ class FeTrILLite:
     """
 
     def __init__(self, lr: float = 0.1, epochs: int = 200, weight_decay: float = 1e-4):
-        if lr <= 0 or epochs < 1 or weight_decay < 0:
-            raise LearnerError("invalid head-training hyperparameters")
+        _check_descent_settings(epochs, {"lr": lr}, {"weight_decay": weight_decay})
         self.lr = float(lr)
         self.epochs = int(epochs)
         self.weight_decay = float(weight_decay)
@@ -522,8 +518,9 @@ class BSILLite:
         anchor_strength: float = 0.1,
         scale_init: float = 2.0,
     ):
-        if lr <= 0 or epochs < 1 or anchor_strength < 0 or scale_init <= 0:
-            raise LearnerError("invalid cosine-head hyperparameters")
+        _check_descent_settings(
+            epochs, {"lr": lr, "scale_init": scale_init}, {"anchor_strength": anchor_strength}
+        )
         self.lr = float(lr)
         self.epochs = int(epochs)
         self.anchor_strength = float(anchor_strength)

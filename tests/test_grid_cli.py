@@ -36,6 +36,7 @@ from efcilab.grid import (
     run_single,
     write_results,
 )
+from efcilab.learners import LEARNER_KINDS
 from efcilab.stats.design import RunRecord, column_table
 
 
@@ -156,9 +157,20 @@ def test_config_validation_errors():
     for hyperparams, pattern in (
         ({"ncm": {"epochs": 5}}, "learner 'ncm': invalid hyperparameters"),
         ({"dslda": {"shrinkage": -2.0}}, "learner 'dslda': shrinkage must lie in"),
+        # NaN passes no range check, a bool is no number, and epochs are counted, not truncated
+        ({"dslda": {"shrinkage": float("nan")}}, "learner 'dslda': shrinkage must lie in"),
+        ({"dslda": {"shrinkage": True}}, "learner 'dslda': shrinkage must lie in"),
+        ({"bsil": {"anchor_strength": False}}, "learner 'bsil': anchor_strength must be a finite"),
+        ({"bsil": {"lr": float("inf")}}, "learner 'bsil': lr must be a finite number > 0, got inf"),
+        ({"fetril": {"epochs": 2.5}}, "learner 'fetril': epochs must be an integer >= 1, got 2.5"),
+        ({"fetril": {"epochs": float("nan")}}, "learner 'fetril': epochs must be an integer >= 1"),
+        # ncm is dslda at a fixed shrinkage of 1 and takes none
+        ({"ncm": {"shrinkage": 0.5}}, "learner 'ncm': invalid hyperparameters"),
     ):
         with pytest.raises(ConfigError, match=pattern):
-            config_from_dict(config_to_dict(toy_config(hyperparams=hyperparams)))
+            config_from_dict(
+                config_to_dict(toy_config(learners=LEARNER_KINDS, hyperparams=hyperparams))
+            )
     # numbers are checked, not coerced; the error names the dataset or strategy and field
     for path, value, message in (
         (("base_seed",), 1.5, "base_seed must be an integer, got 1.5"),

@@ -150,15 +150,17 @@ def test_dslda_errors():
         bare.predict(np.zeros((1, 3)))
 
 
-def test_dslda_holds_few_dim_by_dim_arrays():
-    # 20 classes in 256 dimensions over two steps of 256 rows each, the
-    # second merging 4 classes seen in the first
-    dim = 256
-    unit = dim * dim * 8  # bytes of one dim x dim float64 array
+def two_steps_in_256_dims():
+    """20 classes in 256 dimensions over two steps of 256 rows each, the
+    second merging 4 classes seen in the first, and 100 query rows."""
     rng = np.random.default_rng(3)
     steps = [np.repeat(np.arange(16), 16), np.repeat(np.arange(12, 20), 32)]
-    steps = [(rng.normal(0, 1, (len(y), dim)), y) for y in steps]
-    queries = rng.normal(0, 1, (100, dim))
+    return [(rng.normal(0, 1, (len(y), 256)), y) for y in steps], rng.normal(0, 1, (100, 256))
+
+
+def test_dslda_holds_few_dim_by_dim_arrays():
+    unit = 256 * 256 * 8  # bytes of one dim x dim float64 array
+    steps, queries = two_steps_in_256_dims()
     learner = StreamingLDA()
     peaks = []
     tracemalloc.start()
@@ -181,6 +183,35 @@ def test_dslda_holds_few_dim_by_dim_arrays():
     assert predict_peak <= 2.5
 
 
+def test_shrinkage_one_holds_no_dim_by_dim_array():
+    # at shrinkage 1 the scores need only the class means, so no scatter,
+    # centred rows or solve is ever allocated
+    unit = 256 * 256 * 8
+    steps, queries = two_steps_in_256_dims()
+    learner = StreamingLDA(shrinkage=1.0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for step in steps:
+            learner.learn_step(*step)
+            learner.predict(queries)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / unit
+    finally:
+        tracemalloc.stop()
+    assert learner.scatter is None
+    assert peak < 1.0
+
+
+def test_covariance_at_shrinkage_one_is_a_learner_error():
+    learner = StreamingLDA(shrinkage=1.0)
+    learner.learn_step(np.eye(3), np.array([0, 1, 2]))
+    with pytest.raises(LearnerError, match="no covariance is kept at shrinkage 1"):
+        learner.covariance()
+    # the discriminant is nearest-mean scoring, solved from nothing
+    ids, weights, biases = learner.discriminant_parameters()
+    assert np.array_equal(weights, np.eye(3)) and np.array_equal(biases, [-0.5] * 3)
+
+
 # ---------------------------------------------------------------------------
 # Nearest class mean
 
@@ -197,6 +228,14 @@ def test_ncm_tie_goes_to_lowest_class_id():
     ncm = NearestClassMean()
     ncm.learn_step(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([3, 1]))
     assert ncm.predict(np.zeros((1, 2)))[0] == 1
+
+
+def test_ncm_predicts_its_one_known_class():
+    # nearest-mean scoring needs no second class, unlike DSLDA below shrinkage 1
+    ncm = NearestClassMean()
+    ncm.learn_step(np.ones((3, 2)), np.array([4, 4, 4]))
+    queries = np.random.default_rng(0).normal(0, 5, (10, 2))
+    assert np.array_equal(ncm.predict(queries), np.full(10, 4))
 
 
 def test_ncm_incremental_mean_merging():
@@ -803,6 +842,18 @@ def test_ncm_stream_matches_loop_oracle(kind, n_incr_steps):
     assert 0.0 < np.nanmin(per_subset) and np.nanmax(per_subset[1:]) < 1.0  # not a trivial stream
     assert np.array_equal(matrix.per_subset, per_subset, equal_nan=True)
     assert np.array_equal(matrix.cumulative, cumulative)
+
+
+def test_ncm_runs_one_class_per_step():
+    ds = synth_features(SynthSpec(n_classes=6, dim=5, n_train=8, n_test=6, separation=1.0, seed=9))
+    sc = build_scenario(list(range(6)), "equal", 6, seed=9)
+    matrix = run_incremental("ncm", ds, sc, {})
+    per_subset, cumulative = ncm_protocol_oracle(ds, sc)
+    assert matrix.accuracy(1, 1) == 1.0
+    assert np.array_equal(matrix.per_subset, per_subset, equal_nan=True)
+    assert np.array_equal(matrix.cumulative, cumulative)
+    with pytest.raises(LearnerError, match="step 1: prediction needs at least 2 known classes"):
+        run_incremental("dslda", ds, sc, {})
 
 
 def test_run_incremental_holds_one_step_of_rows_at_a_time():
