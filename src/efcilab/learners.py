@@ -107,8 +107,16 @@ def argmax_by_class(scores: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
     return sorted_ids[best]
 
 
+def _is_real(value) -> bool:
+    """Whether a hyperparameter is a real number: a bool or a string is not,
+    so it fails the range check that follows without being compared."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Streaming LDA
+
+_SCATTER_BLOCK = 64  # scatter rows a step updates at a time
 
 
 class StreamingLDA:
@@ -120,19 +128,21 @@ class StreamingLDA:
     state matches a batch fit over the same samples up to float rounding
     regardless of arrival order or how a class is split over steps.
 
-    Memory stays a few ``dim x dim`` arrays: a step's within-class scatter
-    is one product over all its centred rows, and the discriminant is
-    solved from one shrunk copy of the scatter, checked positive definite
-    by its Cholesky factor, which is then dropped. ``predict`` solves it
-    once per step, on its first call after a ``learn_step``, and keeps it
-    until the next ``learn_step``.
+    The scatter is the one ``dim x dim`` array it holds. A step adds its
+    within-class scatter and its mean merges to it in blocks of 64 rows,
+    so no ``dim x dim`` temporary is made. The discriminant is solved in
+    the scatter's own buffer: its diagonal is shifted by the shrinkage,
+    then restored exactly. Only at shrinkage 0 is the scatter first
+    checked positive definite by a Cholesky factor. ``predict`` solves the
+    discriminant once per step, on its first call after a ``learn_step``,
+    and keeps it until the next ``learn_step``.
 
     At shrinkage 1 no scatter is kept and nothing is solved: the scores are
     ``x . mu - ||mu||^2 / 2``, nearest-mean scoring, for one known class too.
     """
 
     def __init__(self, shrinkage: float = 1e-4):
-        if isinstance(shrinkage, bool) or not 0 <= shrinkage <= 1:  # NaN fails too
+        if not _is_real(shrinkage) or not 0 <= shrinkage <= 1:  # NaN fails too
             raise LearnerError(f"shrinkage must lie in [0, 1], got {shrinkage!r}")
         self.shrinkage = float(shrinkage)
         self.means: dict[int, np.ndarray] = {}
@@ -150,15 +160,17 @@ class StreamingLDA:
         if features.shape[0] == 0:
             raise LearnerError("empty training step")
         self._discriminant = None
+        dim = features.shape[1]
         if self.scatter is None and self.shrinkage < 1:
-            dim = features.shape[1]
             self.scatter = np.zeros((dim, dim))
+        blocks = [slice(lo, lo + _SCATTER_BLOCK) for lo in range(0, dim, _SCATTER_BLOCK)]
         ids, inverse = np.unique(labels, return_inverse=True)
         block_means = np.stack([features[inverse == j].mean(axis=0) for j in range(len(ids))])
         if self.scatter is not None:
             centred = block_means[inverse]
             np.subtract(features, centred, out=centred)
-            self.scatter += centred.T @ centred
+            for rows in blocks:
+                self.scatter[rows] += centred[:, rows].T @ centred
             del centred
         for c, n_b, mean_b in zip(ids.tolist(), np.bincount(inverse).tolist(), block_means):
             n_a = self.counts.get(c, 0)
@@ -168,7 +180,8 @@ class StreamingLDA:
                 n = n_a + n_b
                 delta = mean_b - self.means[c]
                 if self.scatter is not None:
-                    self.scatter += (n_a * n_b / n) * np.outer(delta, delta)
+                    for rows in blocks:
+                        self.scatter[rows] += (n_a * n_b / n) * np.outer(delta[rows], delta)
                 self.means[c] = self.means[c] + delta * (n_b / n)
             self.counts[c] = n_a + n_b
             self.total += n_b
@@ -182,7 +195,13 @@ class StreamingLDA:
         return self.scatter / self.total
 
     def discriminant_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sorted class ids, weight rows w_c = Lambda mu_c, biases -mu'Lambda mu/2)."""
+        """(sorted class ids, weight rows w_c = Lambda mu_c, biases -mu'Lambda mu/2).
+
+        The shrunk covariance ``(1 - s) S / total + s I`` is ``a (S + t I)``
+        with ``a = (1 - s) / total`` and ``t = s / a``, so the weights are
+        ``(S + t I)^-1 mu_c / a``, solved on the scatter ``S`` itself with
+        its diagonal shifted by ``t`` and then restored bit for bit.
+        """
         if self.total == 0:
             raise LearnerError("predict before any update")
         ids = self.known_classes
@@ -191,17 +210,26 @@ class StreamingLDA:
             return ids, mu, -0.5 * np.sum(mu * mu, axis=1)
         if len(ids) < 2:
             raise LearnerError(f"prediction needs at least 2 known classes, have {len(ids)}")
-        shrunk = self.covariance()
-        shrunk *= 1.0 - self.shrinkage
-        shrunk.flat[:: len(shrunk) + 1] += self.shrinkage
-        try:
-            np.linalg.cholesky(shrunk)  # only the check that it is positive definite
-        except np.linalg.LinAlgError:
-            raise LearnerError(
-                "shrunk scatter is singular; use shrinkage > 0 to guarantee invertibility"
-            ) from None
+        if self.shrinkage == 0:
+            try:
+                np.linalg.cholesky(self.scatter)  # only the check that it is positive definite
+            except np.linalg.LinAlgError:
+                raise LearnerError(
+                    "shrunk scatter is singular; use shrinkage > 0 to guarantee invertibility"
+                ) from None
         mu = np.stack([self.means[int(c)] for c in ids])
-        weights = np.linalg.solve(shrunk, mu.T).T
+        scale = (1.0 - self.shrinkage) / self.total
+        diagonal = self.scatter.diagonal().copy()
+        np.fill_diagonal(self.scatter, diagonal + self.shrinkage / scale)
+        try:
+            weights = np.linalg.solve(self.scatter, mu.T).T
+        except np.linalg.LinAlgError as exc:
+            raise LearnerError(f"the shrunk scatter could not be solved: {exc}") from None
+        finally:
+            np.fill_diagonal(self.scatter, diagonal)
+        if not np.isfinite(weights).all():
+            raise LearnerError("the discriminant is not finite: the features hold NaN or infinity")
+        weights /= scale
         biases = -0.5 * np.einsum("ij,ij->i", weights, mu)
         return ids, weights, biases
 
@@ -243,14 +271,15 @@ def descend(gradient, params: list, lr: float, epochs: int, prox=None) -> list:
 
 def _check_descent_settings(epochs, positive: dict, nonnegative: dict) -> None:
     """Reject ``epochs`` not an integer >= 1 and values not finite and > 0
-    (``positive``) or >= 0 (``nonnegative``); a bool is neither, NaN fails both."""
+    (``positive``) or >= 0 (``nonnegative``); a value that is no real number
+    (a bool, a string, ``None``) is neither, and NaN fails both."""
     if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 1:
         raise LearnerError(f"epochs must be an integer >= 1, got {epochs!r}")
     for name, value in positive.items():
-        if isinstance(value, bool) or not 0 < value < math.inf:
+        if not _is_real(value) or not 0 < value < math.inf:
             raise LearnerError(f"{name} must be a finite number > 0, got {value!r}")
     for name, value in nonnegative.items():
-        if isinstance(value, bool) or not 0 <= value < math.inf:
+        if not _is_real(value) or not 0 <= value < math.inf:
             raise LearnerError(f"{name} must be a finite number >= 0, got {value!r}")
 
 

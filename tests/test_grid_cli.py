@@ -164,6 +164,11 @@ def test_config_validation_errors():
         ({"bsil": {"lr": float("inf")}}, "learner 'bsil': lr must be a finite number > 0, got inf"),
         ({"fetril": {"epochs": 2.5}}, "learner 'fetril': epochs must be an integer >= 1, got 2.5"),
         ({"fetril": {"epochs": float("nan")}}, "learner 'fetril': epochs must be an integer >= 1"),
+        # a value of the wrong type names its field rather than failing a comparison
+        ({"bsil": {"lr": "0.1"}}, "learner 'bsil': lr must be a finite number > 0, got '0.1'"),
+        ({"dslda": {"shrinkage": "0.5"}}, "learner 'dslda': shrinkage must lie in"),
+        ({"fetril": {"weight_decay": None}}, "learner 'fetril': weight_decay must be a finite"),
+        ({"bsil": {"anchor_strength": [1]}}, "learner 'bsil': anchor_strength must be a finite"),
         # ncm is dslda at a fixed shrinkage of 1 and takes none
         ({"ncm": {"shrinkage": 0.5}}, "learner 'ncm': invalid hyperparameters"),
     ):

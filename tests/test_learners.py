@@ -176,11 +176,61 @@ def test_dslda_holds_few_dim_by_dim_arrays():
         predict_peak = (tracemalloc.get_traced_memory()[1] - before) / unit
     finally:
         tracemalloc.stop()
-    # a step's scatter is one product over its centred rows, so a step of at
-    # most dim rows holds the scatter, those rows and the product
-    assert max(peaks) < 3.5
-    # one shrunk copy of the scatter and the solver's own copy of it
-    assert predict_peak <= 2.5
+    # a step holds the scatter, its centred rows (at most dim of them) and one
+    # 64-row block of the scatter's update; the first step allocates the scatter
+    assert max(peaks) < 2.5
+    # the second step's class merges update the scatter in blocks as well
+    assert peaks[1] < 1.5
+    # the discriminant is solved in the scatter's own buffer: predict holds no
+    # dim x dim array of its own
+    assert predict_peak < 0.5
+
+
+def test_dslda_scatter_in_blocks_matches_one_product():
+    steps, _ = two_steps_in_256_dims()
+    x, y = steps[0]
+    learner = StreamingLDA()
+    learner.learn_step(x, y)
+    means = np.stack([x[y == c].mean(axis=0) for c in range(16)])
+    centred = x - means[y]
+    expected = centred.T @ centred
+    np.testing.assert_allclose(
+        learner.scatter, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+    )
+
+
+def test_dslda_solve_restores_the_scatter(monkeypatch):
+    steps, queries = two_steps_in_256_dims()
+    x, y = steps[0]
+    learner = StreamingLDA()
+    learner.learn_step(x, y)
+    before = learner.scatter.copy()
+
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("no Cholesky factor is needed at shrinkage > 0")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    learner.predict(queries)
+    assert np.array_equal(learner.scatter, before)
+
+    def failing_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    with pytest.raises(LearnerError, match="could not be solved"):
+        learner.discriminant_parameters()
+    assert np.array_equal(learner.scatter, before)
+
+
+def test_dslda_non_finite_features_fail_prediction():
+    steps, queries = two_steps_in_256_dims()
+    x, y = steps[0]
+    x = x.copy()
+    x[5] = np.nan
+    learner = StreamingLDA()
+    learner.learn_step(x, y)
+    with pytest.raises(LearnerError, match="features hold NaN or infinity"):
+        learner.predict(queries)
 
 
 def test_shrinkage_one_holds_no_dim_by_dim_array():
