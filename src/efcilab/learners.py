@@ -1,7 +1,10 @@
 """Incremental learners over fixed feature embeddings.
 
 Four algorithms behind one exemplar-free contract (``learn_step`` sees only
-the current step's training data):
+the current step's training data) and one scoring path: each is a linear
+model ``(sorted class ids, W, b)`` from its ``discriminant_parameters``,
+built at the first ``predict`` after a step and kept until the next step
+(``LinearModelLearner``):
 
 * ``StreamingLDA`` — class means and shared scatter merged per class
   block, with shrinkage; linear discriminant prediction. At shrinkage 1
@@ -113,13 +116,42 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _new_class_ids(features: np.ndarray, labels: np.ndarray, learned) -> list[int]:
+    """The sorted class ids of a step; an empty step, or a class already in
+    ``learned``, is an error."""
+    if features.shape[0] == 0:
+        raise LearnerError("empty training step")
+    new_ids = [int(c) for c in np.unique(labels)]
+    overlap = [c for c in new_ids if c in learned]
+    if overlap:
+        raise LearnerError(f"classes {overlap} were already learned in an earlier step")
+    return new_ids
+
+
+class LinearModelLearner:
+    """Scores ``x @ W.T + b`` of the model ``discriminant_parameters()``,
+    built at the first ``predict`` after a ``learn_step`` and kept until the
+    next one, whose first act drops it. Each subclass binds ``predict`` and
+    ``learn_step`` in its own body, since ``benchmarks/spans.py`` traces the
+    methods in a class's own ``__dict__``.
+    """
+
+    _model: tuple | None = None
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        if self._model is None:
+            self._model = self.discriminant_parameters()
+        ids, weights, biases = self._model
+        return argmax_by_class(features @ weights.T + biases, ids)
+
+
 # ---------------------------------------------------------------------------
 # Streaming LDA
 
 _SCATTER_BLOCK = 64  # scatter rows a step updates at a time
 
 
-class StreamingLDA:
+class StreamingLDA(LinearModelLearner):
     """Streaming linear discriminant classifier with shrinkage.
 
     Each ``learn_step`` takes every class's block mean and centred scatter
@@ -133,9 +165,8 @@ class StreamingLDA:
     so no ``dim x dim`` temporary is made. The discriminant is solved in
     the scatter's own buffer: its diagonal is shifted by the shrinkage,
     then restored exactly. Only at shrinkage 0 is the scatter first
-    checked positive definite by a Cholesky factor. ``predict`` solves the
-    discriminant once per step, on its first call after a ``learn_step``,
-    and keeps it until the next ``learn_step``.
+    checked positive definite by a Cholesky factor, once per step: at the
+    first ``predict`` after a ``learn_step``.
 
     At shrinkage 1 no scatter is kept and nothing is solved: the scores are
     ``x . mu - ||mu||^2 / 2``, nearest-mean scoring, for one known class too.
@@ -149,17 +180,11 @@ class StreamingLDA:
         self.counts: dict[int, int] = {}
         self.scatter: np.ndarray | None = None
         self.total = 0
-        # (ids, weights, biases) from the first predict after a learn_step
-        self._discriminant: tuple | None = None
-
-    @property
-    def known_classes(self) -> np.ndarray:
-        return np.array(sorted(self.means), dtype=np.int64)
 
     def learn_step(self, features: np.ndarray, labels: np.ndarray) -> None:
+        self._model = None
         if features.shape[0] == 0:
             raise LearnerError("empty training step")
-        self._discriminant = None
         dim = features.shape[1]
         if self.scatter is None and self.shrinkage < 1:
             self.scatter = np.zeros((dim, dim))
@@ -186,14 +211,6 @@ class StreamingLDA:
             self.counts[c] = n_a + n_b
             self.total += n_b
 
-    def covariance(self) -> np.ndarray:
-        """Pooled within-class covariance (population normalization)."""
-        if self.total == 0:
-            raise LearnerError("predict before any update")
-        if self.scatter is None:
-            raise LearnerError("no covariance is kept at shrinkage 1")
-        return self.scatter / self.total
-
     def discriminant_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sorted class ids, weight rows w_c = Lambda mu_c, biases -mu'Lambda mu/2).
 
@@ -204,7 +221,7 @@ class StreamingLDA:
         """
         if self.total == 0:
             raise LearnerError("predict before any update")
-        ids = self.known_classes
+        ids = np.array(sorted(self.means), dtype=np.int64)
         if self.scatter is None:  # shrinkage 1: Lambda is the identity
             mu = np.stack([self.means[int(c)] for c in ids])
             return ids, mu, -0.5 * np.sum(mu * mu, axis=1)
@@ -233,12 +250,7 @@ class StreamingLDA:
         biases = -0.5 * np.einsum("ij,ij->i", weights, mu)
         return ids, weights, biases
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if self._discriminant is None:
-            self._discriminant = self.discriminant_parameters()
-        ids, weights, biases = self._discriminant
-        scores = features @ weights.T + biases
-        return argmax_by_class(scores, ids)
+    predict = LinearModelLearner.predict
 
 
 class NearestClassMean(StreamingLDA):
@@ -247,8 +259,6 @@ class NearestClassMean(StreamingLDA):
     def __init__(self):
         super().__init__(shrinkage=1.0)
 
-    # bound here, not inherited, so that tracing this class's own methods
-    # (benchmarks/spans.py) keeps their spans apart from StreamingLDA's
     learn_step = StreamingLDA.learn_step
     predict = StreamingLDA.predict
 
@@ -395,7 +405,7 @@ def fit_softmax_head(
     return coef.T @ basis, biases
 
 
-class FeTrILLite:
+class FeTrILLite(LinearModelLearner):
     """Frozen class means plus a pseudo-feature-trained linear head.
 
     Each step stores the new classes' means and retrains the multinomial
@@ -404,7 +414,8 @@ class FeTrILLite:
     are the rows of the current step's most similar class, translated by
     one offset so that their mean lands on the past class's mean. The head
     receives them factored, as the real rows plus the offsets, and trains
-    on those alone.
+    on those alone. The head ``(sorted class ids, weights, biases)`` is its
+    linear model.
     """
 
     def __init__(self, lr: float = 0.1, epochs: int = 200, weight_decay: float = 1e-4):
@@ -413,20 +424,11 @@ class FeTrILLite:
         self.epochs = int(epochs)
         self.weight_decay = float(weight_decay)
         self.means: dict[int, np.ndarray] = {}
-        self.head_weights: np.ndarray | None = None
-        self.head_biases: np.ndarray | None = None
-
-    @property
-    def known_classes(self) -> np.ndarray:
-        return np.array(sorted(self.means), dtype=np.int64)
+        self.head: tuple | None = None
 
     def learn_step(self, features: np.ndarray, labels: np.ndarray) -> None:
-        if features.shape[0] == 0:
-            raise LearnerError("empty training step")
-        new_ids = sorted(int(c) for c in np.unique(labels))
-        overlap = [c for c in new_ids if c in self.means]
-        if overlap:
-            raise LearnerError(f"classes {overlap} were already learned in an earlier step")
+        self._model = None
+        new_ids = _new_class_ids(features, labels, self.means)
 
         step_means = {c: features[labels == c].mean(axis=0) for c in new_ids}
         cand_ids = np.array(new_ids, dtype=np.int64)
@@ -449,7 +451,7 @@ class FeTrILLite:
         # a head fit that raises leaves the learner as it was
         all_ids = np.array(sorted([*self.means, *new_ids]), dtype=np.int64)
         class_idx = np.searchsorted(all_ids, np.concatenate(targets))
-        self.head_weights, self.head_biases = fit_softmax_head(
+        self.head = all_ids, *fit_softmax_head(
             features,
             np.concatenate(rows),
             np.stack(shifts),
@@ -462,11 +464,12 @@ class FeTrILLite:
         )
         self.means.update(step_means)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if self.head_weights is None:
+    def discriminant_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.head is None:
             raise LearnerError("predict before any update")
-        scores = features @ self.head_weights.T + self.head_biases
-        return argmax_by_class(scores, self.known_classes)
+        return self.head
+
+    predict = LinearModelLearner.predict
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +534,7 @@ def _cosine_softmax_loss(
     return float(ce), (grad_coef, own * along_w, diag_coef.sum())
 
 
-class BSILLite:
+class BSILLite(LinearModelLearner):
     """Cosine head with balanced softmax and an anchor on past weights.
 
     Trains on the current step's features only. The balanced softmax
@@ -558,17 +561,9 @@ class BSILLite:
         self.counts: dict[int, int] = {}
         self.steps_seen = 0
 
-    @property
-    def known_classes(self) -> np.ndarray:
-        return np.array(sorted(self.weights), dtype=np.int64)
-
     def learn_step(self, features: np.ndarray, labels: np.ndarray) -> None:
-        if features.shape[0] == 0:
-            raise LearnerError("empty training step")
-        new_ids = sorted(int(c) for c in np.unique(labels))
-        overlap = [c for c in new_ids if c in self.weights]
-        if overlap:
-            raise LearnerError(f"classes {overlap} were already learned in an earlier step")
+        self._model = None
+        new_ids = _new_class_ids(features, labels, self.weights)
 
         # the learner changes only once the descent has returned
         weights, counts = dict(self.weights), dict(self.counts)
@@ -612,14 +607,16 @@ class BSILLite:
         self.weights = dict(zip(all_ids.tolist(), w0))
         self.counts, self.scale, self.steps_seen = counts, float(scale), step
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
+    def discriminant_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sorted class ids, unit-norm weight rows, zero biases). A row's
+        positive norm scales all its cosines alike, so the argmax needs no
+        normalised copy of the features; a zero row scores 0."""
         if not self.weights:
             raise LearnerError("predict before any update")
-        ids = self.known_classes
-        unit_w = _unit_rows(np.stack([self.weights[int(c)] for c in ids]))
-        # a row's positive norm scales all its cosines alike, so its argmax
-        # needs no normalised copy of the features; a zero row scores 0
-        return argmax_by_class(features @ unit_w.T, ids)
+        ids = np.array(sorted(self.weights), dtype=np.int64)
+        return ids, _unit_rows(np.stack([self.weights[int(c)] for c in ids])), np.zeros(len(ids))
+
+    predict = LinearModelLearner.predict
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_streaming_scatter_equals_batch_scatter():
     learner = StreamingLDA()
     learner.learn_step(x, y)
     _, _, _, sigma = batch_lda_params(x, y, 0.0)
-    rel = np.max(np.abs(learner.covariance() - sigma)) / np.max(np.abs(sigma))
+    rel = np.max(np.abs(learner.scatter / learner.total - sigma)) / np.max(np.abs(sigma))
     assert rel <= 1e-6
 
 
@@ -82,7 +82,7 @@ def test_streaming_order_invariance():
     a.learn_step(x, y)
     order = np.random.default_rng(1).permutation(len(y))
     b.learn_step(x[order], y[order])
-    assert np.max(np.abs(a.covariance() - b.covariance())) <= 1e-6
+    assert np.max(np.abs(a.scatter / a.total - b.scatter / b.total)) <= 1e-6
     for c in a.means:
         assert np.max(np.abs(a.means[c] - b.means[c])) <= 1e-9
 
@@ -108,7 +108,7 @@ def test_streaming_merge_across_steps_matches_batch():
     for c in ids:
         assert learner.counts[int(c)] == int((y == c).sum())
         assert np.max(np.abs(learner.means[int(c)] - x[y == c].mean(axis=0))) <= 1e-9
-    assert np.max(np.abs(learner.covariance() - sigma)) / np.max(np.abs(sigma)) <= 1e-6
+    assert np.max(np.abs(learner.scatter / learner.total - sigma)) / np.max(np.abs(sigma)) <= 1e-6
     assert np.max(np.abs(w - w2)) <= 1e-6 * np.max(np.abs(w2))
     assert np.max(np.abs(b - b2)) <= 1e-6 * np.max(np.abs(b2))
 
@@ -122,6 +122,11 @@ def test_dslda_shrinkage_one_equals_nearest_mean():
     ncm.learn_step(x, y)
     tx, _ = split_arrays(ds, train=False)
     assert np.array_equal(slda.predict(tx), ncm.predict(tx))
+    # the discriminant is nearest-mean scoring, solved from nothing
+    one_hot = StreamingLDA(shrinkage=1.0)
+    one_hot.learn_step(np.eye(3), np.array([0, 1, 2]))
+    ids, weights, biases = one_hot.discriminant_parameters()
+    assert np.array_equal(weights, np.eye(3)) and np.array_equal(biases, [-0.5] * 3)
 
 
 def test_two_gaussian_stream_matches_batch_everywhere():
@@ -250,16 +255,6 @@ def test_shrinkage_one_holds_no_dim_by_dim_array():
         tracemalloc.stop()
     assert learner.scatter is None
     assert peak < 1.0
-
-
-def test_covariance_at_shrinkage_one_is_a_learner_error():
-    learner = StreamingLDA(shrinkage=1.0)
-    learner.learn_step(np.eye(3), np.array([0, 1, 2]))
-    with pytest.raises(LearnerError, match="no covariance is kept at shrinkage 1"):
-        learner.covariance()
-    # the discriminant is nearest-mean scoring, solved from nothing
-    ids, weights, biases = learner.discriminant_parameters()
-    assert np.array_equal(weights, np.eye(3)) and np.array_equal(biases, [-0.5] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +739,7 @@ def test_bsil_matches_full_dimension_oracle(dim, strength):
     for x, y, _, _ in step_arrays(ds, sc):
         ref_w, ref_scale = reference_bsil_step(learner, x, y)
         learner.learn_step(x, y)
-        w = np.stack([learner.weights[int(c)] for c in learner.known_classes])
+        w = np.stack([learner.weights[c] for c in sorted(learner.weights)])
         assert np.max(np.abs(w - ref_w)) <= 1e-10 * np.max(np.abs(ref_w))
         assert abs(learner.scale - ref_scale) <= 1e-10 * ref_scale
 
@@ -969,24 +964,32 @@ def test_run_incremental_peak_is_a_few_test_subsets(kind):
     assert peak < 5 * subset_bytes
 
 
-def test_dslda_solves_its_discriminant_once_per_step(monkeypatch):
+def few_epochs(kind):
+    """Hyperparameters that keep a gradient-descent head's test run short."""
+    return {"epochs": 5} if kind in ("fetril", "bsil") else None
+
+
+@pytest.mark.parametrize("kind", learners.LEARNER_KINDS)
+def test_learner_builds_its_model_once_per_step(kind, monkeypatch):
+    cls = type(learners.make_learner(kind))
     calls = {"predict": 0, "discriminant_parameters": 0}
     for name in calls:
-        original = getattr(StreamingLDA, name)
+        original = getattr(cls, name)
 
         def counted(self, *args, _original=original, _name=name):
             calls[_name] += 1
             return _original(self, *args)
 
-        monkeypatch.setattr(StreamingLDA, name, counted)
+        monkeypatch.setattr(cls, name, counted)
     ds = synth_features(SynthSpec(n_classes=10, dim=6, n_train=8, n_test=4, separation=4.0, seed=15))
-    run_incremental("dslda", ds, build_scenario(list(range(10)), "equal", 5, seed=15), {})
+    run_incremental(kind, ds, build_scenario(list(range(10)), "equal", 5, seed=15), few_epochs(kind))
     assert calls == {"predict": 1 + 2 + 3 + 4 + 5, "discriminant_parameters": 5}
 
 
-def test_dslda_learn_step_discards_the_solved_discriminant():
-    # the second step brings new classes, so a kept first-step discriminant
-    # could not predict the queries drawn from them
+@pytest.mark.parametrize("kind", learners.LEARNER_KINDS)
+def test_learn_step_discards_the_kept_model(kind):
+    # the second step brings new classes, so a kept first-step model could
+    # not predict the queries drawn from them
     rng = np.random.default_rng(16)
     centres = rng.normal(0, 6, (4, 5))
     steps = [
@@ -994,23 +997,35 @@ def test_dslda_learn_step_discards_the_solved_discriminant():
         for ids in ([0, 1], [2, 3])
     ]
     queries = centres[[2, 3]] + rng.normal(0, 0.1, (2, 5))
-    used, fresh = StreamingLDA(), StreamingLDA()
-    used.learn_step(*steps[0])
+    used, clean = (learners.make_learner(kind) for _ in range(2))
+    for learner in (used, clean):
+        learner.learn_step(*steps[0])
     before = used.predict(queries)
-    for learner in (used, fresh):
+    for learner in (used, clean):
         learner.learn_step(*steps[1])
     after = used.predict(queries)
     assert set(before.tolist()) <= {0, 1}
     assert after.tolist() == [2, 3]
-    assert np.array_equal(after, fresh.predict(queries))
+    assert np.array_equal(after, clean.predict(queries))
+
+
+@pytest.mark.parametrize("cls", [StreamingLDA, FeTrILLite, BSILLite, NearestClassMean])
+def test_each_learner_binds_its_own_methods(cls):
+    # a per-class trace wraps the methods in the class's own namespace, so an
+    # inherited one would leave that learner's spans empty
+    assert "learn_step" in vars(cls) and "predict" in vars(cls)
 
 
 def _held_arrays(learner):
-    """Every array a learner holds: its array attributes and its dicts' array values."""
+    """Every array a learner holds: its array attributes and the array values
+    of its dicts and tuples."""
     held = []
     for value in vars(learner).values():
-        values = value.values() if isinstance(value, dict) else [value]
-        held += [v for v in values if isinstance(v, np.ndarray)]
+        if isinstance(value, dict):
+            value = value.values()
+        elif not isinstance(value, tuple):
+            value = [value]
+        held += [v for v in value if isinstance(v, np.ndarray)]
     return held
 
 
@@ -1022,11 +1037,12 @@ def test_learner_state_is_exemplar_free(kind):
     held_bytes = []
     for n_train in (4, 12):
         ds = synth_features(SynthSpec(n_classes=9, dim=8, n_train=n_train, n_test=2, separation=3.0, seed=5))
-        learner = learners.make_learner(kind, {"epochs": 5} if kind in ("fetril", "bsil") else None)
+        learner = learners.make_learner(kind, few_epochs(kind))
         inputs = []
-        for x, y, _, _ in step_arrays(ds, sc):
+        for x, y, test_x, _ in step_arrays(ds, sc):
             learner.learn_step(x, y)
-            inputs += [x, y]
+            learner.predict(test_x)
+            inputs += [x, y, test_x]
         held = _held_arrays(learner)
         assert held
         assert not any(np.shares_memory(a, b) for a in held for b in inputs)
@@ -1035,14 +1051,17 @@ def test_learner_state_is_exemplar_free(kind):
 
 
 def _state(learner):
-    """A learner's attributes, with every array as its bytes."""
+    """A learner's learned state, with every array as its bytes: its
+    attributes but the kept model, which is derived from them."""
 
     def plain(value):
         if isinstance(value, dict):
             return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, tuple):
+            return tuple(plain(v) for v in value)
         return value.tobytes() if isinstance(value, np.ndarray) else value
 
-    return {name: plain(value) for name, value in vars(learner).items()}
+    return {name: plain(value) for name, value in vars(learner).items() if name != "_model"}
 
 
 @pytest.mark.parametrize(
@@ -1051,7 +1070,8 @@ def _state(learner):
 def test_failed_step_leaves_the_head_unchanged(kind, failure):
     # a rejected step and a step whose descent raises change nothing: predict
     # still works, the same classes can be retried, and BSIL's error names
-    # the number of the step among the accepted ones
+    # the number of the step among the accepted ones; a model kept before
+    # them predicts as the clean learner's does after them
     rng = np.random.default_rng(12)
     x1, x2, queries = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, (4, 4)), rng.normal(0, 1, (8, 4))
     y1, y2 = np.repeat([0, 1, 2], 2), np.repeat([3, 4], 2)
@@ -1060,8 +1080,10 @@ def test_failed_step_leaves_the_head_unchanged(kind, failure):
     learner, clean = (learners.make_learner(kind, {"epochs": 5}) for _ in range(2))
     learner.learn_step(x1, y1)
     clean.learn_step(x1, y1)
+    learner.predict(queries)
     with pytest.raises(LearnerError, match="already learned"):
         learner.learn_step(x2, np.repeat([2, 3], 2))
+    learner.predict(queries)
     with np.errstate(invalid="ignore"), pytest.raises(LearnerError, match=failure):
         learner.learn_step(broken, y2)
     assert _state(learner) == _state(clean)
