@@ -49,27 +49,20 @@ SCREENING_CANDIDATES = (
     "n1",
 )
 
+AIC_LADDER_RHS = (
+    "incr",
+    "train",
+    "data",
+    "incr + train",
+    "incr + data",
+    "train + data",
+    "incr + train + data",
+    "acc1 + incr + train + data",
+)
+
 AIC_LADDERS = {
-    "avg_acc": (
-        "avg_acc ~ incr",
-        "avg_acc ~ train",
-        "avg_acc ~ data",
-        "avg_acc ~ incr + train",
-        "avg_acc ~ incr + data",
-        "avg_acc ~ train + data",
-        "avg_acc ~ incr + train + data",
-        "avg_acc ~ acc1 + incr + train + data",
-    ),
-    "forgetting": (
-        "forgetting ~ incr",
-        "forgetting ~ train",
-        "forgetting ~ data",
-        "forgetting ~ incr + train",
-        "forgetting ~ incr + data",
-        "forgetting ~ train + data",
-        "forgetting ~ incr + train + data",
-        "forgetting ~ acc1 + incr + train + data",
-    ),
+    response: tuple(f"{response} ~ {rhs}" for rhs in AIC_LADDER_RHS)
+    for response in ("avg_acc", "forgetting")
 }
 
 ANOVA_MODELS = (

@@ -26,6 +26,7 @@ from .grid import (
 )
 from .learners import LearnerError
 from .report import load_bundle_json, render_bundle, report_formats, write_bundle_json
+from .scenario import SCENARIO_KINDS
 from .stats.design import column_table
 
 EXIT_OK = 0
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--data", required=True)
     p_run.add_argument("--train", required=True)
     p_run.add_argument("--incr", required=True)
-    p_run.add_argument("--scenario", required=True, choices=("equal", "half"))
+    p_run.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
     p_run.add_argument("--rep", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 

@@ -18,8 +18,7 @@ import yaml
 
 from .datagen import file_digest
 from .learners import LEARNER_KINDS, LearnerError, make_learner
-
-SCENARIO_KINDS = ("equal", "half")
+from .scenario import SCENARIO_KINDS
 
 
 class ConfigError(ValueError):
@@ -143,7 +142,8 @@ def validate_config(cfg: GridConfig) -> None:
     for kind in cfg.hyperparams:
         if kind not in LEARNER_KINDS:
             raise ConfigError(f"hyperparams for unknown learner {kind!r}")
-    for kind in cfg.learners:
+    # hyperparameters of a learner outside ``learners`` still reach config.used.yaml and the hash
+    for kind in dict.fromkeys([*cfg.learners, *cfg.hyperparams]):
         try:
             make_learner(kind, cfg.hyperparams.get(kind))
         except LearnerError as exc:

@@ -102,14 +102,6 @@ class AccuracyMatrix:
         return "\n".join(lines) + "\n"
 
 
-def argmax_by_class(scores: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
-    """Row-wise argmax over score columns; ties resolved to the lowest id."""
-    order = np.argsort(class_ids, kind="stable")
-    sorted_ids = class_ids[order]
-    best = np.argmax(scores[:, order], axis=1)
-    return sorted_ids[best]
-
-
 def _is_real(value) -> bool:
     """Whether a hyperparameter is a real number: a bool or a string is not,
     so it fails the range check that follows without being compared."""
@@ -142,7 +134,8 @@ class LinearModelLearner:
         if self._model is None:
             self._model = self.discriminant_parameters()
         ids, weights, biases = self._model
-        return argmax_by_class(features @ weights.T + biases, ids)
+        # ids are sorted, so a tie goes to the lowest id
+        return ids[np.argmax(features @ weights.T + biases, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +615,13 @@ class BSILLite(LinearModelLearner):
 # ---------------------------------------------------------------------------
 # Process runner
 
-LEARNER_KINDS = ("dslda", "fetril", "bsil", "ncm")
-
 _CONSTRUCTORS = {
     "dslda": StreamingLDA,
     "fetril": FeTrILLite,
     "bsil": BSILLite,
     "ncm": NearestClassMean,
 }
+LEARNER_KINDS = tuple(_CONSTRUCTORS)
 
 
 def make_learner(kind: str, hyperparams: dict | None = None):

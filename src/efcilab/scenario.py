@@ -19,6 +19,8 @@ import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 
+SCENARIO_KINDS = ("equal", "half")
+
 
 class ScenarioError(ValueError):
     """Raised for infeasible scenario requests (divisibility, empty inputs)."""
@@ -85,7 +87,7 @@ def build_scenario(
             )
         sizes = [n // 2] + [rest // n_incr_steps] * n_incr_steps
     else:
-        raise ScenarioError(f"unknown scenario kind {kind!r} (expected 'equal' or 'half')")
+        raise ScenarioError(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}")
 
     rng = np.random.default_rng(seed & _SEED_MASK)
     order = rng.permutation(n)

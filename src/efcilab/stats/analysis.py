@@ -6,9 +6,12 @@ table invariant to term declaration order; each is read off the
 coefficients and R factor of one fit, the model that adds the term.
 Pairwise comparisons read every level pair from one fit's coefficients
 and covariance and gate significance with a Bonferroni-corrected
-threshold over unordered pairs. Every function takes one ``RecordTable``
-and fits through ``fit_model``, the table's fit memo: each distinct model
-is fitted once per table and shared, so callers must not modify its fits.
+threshold over unordered pairs. Designs are treatment coded against
+each factor's first sorted level; neither a sum of squares nor a pairwise
+gain depends on which level is the reference. Every function takes one
+``RecordTable`` and fits through ``fit_model``, the table's fit memo: each
+distinct model is fitted once per table and shared, so callers must not
+modify its fits.
 A table takes one tall factorisation, of its column bank; every model
 whose columns are all in the bank is fitted from that bank's R.
 """
@@ -28,33 +31,27 @@ from .linalg import RankDeficientError
 from .regression import RegressionFit, exact_fit_tolerance, ols_fit
 
 
-def fit_model(
-    table: RecordTable,
-    formula: Formula | str,
-    reference_levels: dict[str, str] | None = None,
-) -> RegressionFit:
+def fit_model(table: RecordTable, formula: Formula | str) -> RegressionFit:
     """OLS fit of ``formula``, memoised on ``table``.
 
     The fit reads the columns of ``table.bank``'s R that match its design's
     columns and response, so no n-row matrix is formed per model. A design
-    with a column the bank lacks (a product term, or a reference level other
-    than the first) is encoded and factored on its own instead.
+    with a product term, whose columns the bank lacks, is encoded and
+    factored on its own instead.
 
-    The key is (response, terms, reference levels), so callers that share a
-    table fit each distinct model once and get the same fit object, which
-    they must not modify. A model that cannot be fitted raises again without
-    a retry.
+    The key is (response, terms), so callers that share a table fit each
+    distinct model once and get the same fit object, which they must not
+    modify. A model that cannot be fitted raises again without a retry.
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    refs = reference_levels or {}
-    key = (formula.response, formula.terms, tuple(sorted(refs.items())))
+    key = (formula.response, formula.terms)
     if key not in table.fits:
         try:
-            design, factors = design_layout(table, formula, refs)
+            design, factors = design_layout(table, formula)
             r_xy = table.bank.columns(factors + [((formula.response, None),)])
             if r_xy is None:
-                design = encode_design(table, formula, refs)
+                design = encode_design(table, formula)
             table.fits[key] = ols_fit(design, r_xy)
         except (DesignError, RankDeficientError) as exc:
             # a copy has no traceback or context: the memo pins none of the call's frames
@@ -99,11 +96,7 @@ class AnovaTable:
         raise KeyError(f"no ANOVA row for {variable!r}")
 
 
-def anova_partial_eta2(
-    table: RecordTable,
-    formula: Formula | str,
-    reference_levels: dict[str, str] | None = None,
-) -> AnovaTable:
+def anova_partial_eta2(table: RecordTable, formula: Formula | str) -> AnovaTable:
     """Type-II ANOVA with partial eta squared per variable.
 
     By the Frisch-Waugh-Lovell theorem a term's sum of squares is ``||R_T b||^2``
@@ -113,7 +106,7 @@ def anova_partial_eta2(
     if isinstance(formula, str):
         formula = parse_formula(formula)
     try:
-        full_fit = fit_model(table, formula, reference_levels)
+        full_fit = fit_model(table, formula)
     except RankDeficientError as exc:
         raise DesignError(f"full model {formula}: {exc}") from None
     ss_res = full_fit.ssr
@@ -125,7 +118,7 @@ def anova_partial_eta2(
         # the "with" model's columns are some of the full model's, so it is fittable;
         # for an additive formula it is the full model, fitted once
         with_terms = tuple(t for t in formula.terms if t == term or term not in t.split(":"))
-        fit = fit_model(table, Formula(formula.response, with_terms), reference_levels)
+        fit = fit_model(table, Formula(formula.response, with_terms))
         cols = fit.term_columns[term]
         rest = [i for i in range(fit.n_params) if i not in cols]
         r_t = np.linalg.qr(fit.r[:, rest + cols], mode="r")[-len(cols):, -len(cols):]
@@ -279,7 +272,6 @@ def pairwise_comparison(
     formula: Formula | str,
     alpha: float = 0.05,
     variable: str = "train",
-    reference_levels: dict[str, str] | None = None,
 ) -> PairwiseMatrix:
     """Tabulate the gain of every level of ``variable`` over every other.
 
@@ -292,8 +284,6 @@ def pairwise_comparison(
         formula = parse_formula(formula)
     if variable not in formula.terms:
         raise DesignError(f"formula {formula} does not contain {variable!r} as a term")
-    # the compared variable's own reference level changes no contrast
-    refs = {k: v for k, v in (reference_levels or {}).items() if k != variable}
     levels = table.levels.get(variable, ())
     n_levels = len(levels)
     if n_levels < 2:
@@ -306,12 +296,12 @@ def pairwise_comparison(
     estimable = np.zeros((n_levels, n_levels), dtype=bool)
 
     try:
-        fit = fit_model(table, formula, refs)
+        fit = fit_model(table, formula)
     except (DesignError, RankDeficientError):
         pass  # the rank does not depend on the reference level: no pair is estimable
     else:
-        # rows pick each level's coefficient; the reference level (the first, as refs
-        # leaves ``variable`` out) has none and its row stays zero
+        # rows pick each level's coefficient; the reference level (the first) has
+        # none and its row stays zero
         pick = np.zeros((n_levels, fit.n_params))
         pick[np.arange(1, n_levels), fit.term_columns[variable]] = 1.0
         beta = pick @ fit.beta

@@ -4,8 +4,9 @@
 column table, the one input of the encoder and of every analysis
 function: one numpy array per variable, with categoricals as codes into
 their sorted levels.
-Categorical factors are one-hot encoded with a dropped reference level;
-numeric and binary factors enter as single columns. Column order is
+Categorical factors are treatment coded: one indicator per level after
+the first sorted one, the reference level, which gets no column; numeric
+and binary factors enter as single columns. Column order is
 deterministic: intercept first, then terms in declaration order with
 levels sorted lexicographically. A design's layout (labels and the
 factors of each column) is built apart from its n-row matrix, so a fit
@@ -93,8 +94,6 @@ class DesignMatrix:
     x: np.ndarray | None
     column_labels: list[str]
     term_columns: dict[str, list[int]]  # term -> column indices (intercept under "intercept")
-    reference_levels: dict[str, str]
-    levels: dict[str, tuple[str, ...]]
 
     @property
     def n(self) -> int:
@@ -109,7 +108,7 @@ class DesignMatrix:
 class ColumnBank:
     """R of one R-only QR of a table's column bank: the intercept, every
     main-effect column of each record variable with at least two levels
-    (default reference levels) and every numeric column, responses included.
+    and every numeric column, responses included.
 
     A model over bank columns is fitted from the matching columns of ``r``,
     which have the Gram matrix and column norms of its ``[X | y]``.
@@ -182,14 +181,9 @@ def _check_variable(var: str) -> None:
         raise DesignError(f"unknown variable {var!r}; known: {sorted(RECORD_VARIABLES)}")
 
 
-def _expand_variable(
-    table: RecordTable,
-    var: str,
-    reference_levels: dict[str, str],
-    levels_out: dict[str, tuple[str, ...]],
-) -> list[tuple[str, tuple]]:
-    """Labels and factors of one variable's columns: an indicator per
-    non-reference level, or the raw values."""
+def _expand_variable(table: RecordTable, var: str) -> list[tuple[str, tuple]]:
+    """Labels and factors of one variable's columns: an indicator per level
+    after the first, or the raw values."""
     _check_variable(var)
     if var not in CATEGORICAL_VARS:
         return [(var, ((var, None),))]
@@ -198,15 +192,7 @@ def _expand_variable(
         raise DesignError(
             f"variable {var!r} has a single level ({levels[0]!r}); nothing to contrast"
         )
-    levels_out[var] = levels
-    ref = reference_levels.get(var, levels[0])
-    if ref not in levels:
-        raise DesignError(
-            f"reference level {ref!r} for {var!r} does not occur in the records "
-            f"(levels: {list(levels)})"
-        )
-    reference_levels[var] = ref
-    return [(f"{var}[{lvl}]", ((var, code),)) for code, lvl in enumerate(levels) if lvl != ref]
+    return [(f"{var}[{lvl}]", ((var, code),)) for code, lvl in enumerate(levels) if code]
 
 
 def _column(table: RecordTable, factors: tuple) -> np.ndarray:
@@ -220,20 +206,13 @@ def _column(table: RecordTable, factors: tuple) -> np.ndarray:
     return column
 
 
-def design_layout(
-    table: RecordTable,
-    formula: Formula | str,
-    reference_levels: dict[str, str] | None = None,
-) -> tuple[DesignMatrix, list[tuple]]:
+def design_layout(table: RecordTable, formula: Formula | str) -> tuple[DesignMatrix, list[tuple]]:
     """``formula``'s treatment-coded design over ``table`` without its matrix
     (``x`` is None), and each column's factors (see ``_column``)."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
     if table.n == 0:
         raise DesignError("no records to encode")
-    refs = dict(reference_levels or {})
-    levels: dict[str, tuple[str, ...]] = {}
-
     if formula.response in CATEGORICAL_VARS:
         raise DesignError(f"response {formula.response!r} must be numeric")
     _check_variable(formula.response)
@@ -244,10 +223,10 @@ def design_layout(
     for term in formula.terms:
         parts = term.split(":")
         if len(parts) == 1:
-            expanded = _expand_variable(table, parts[0], refs, levels)
+            expanded = _expand_variable(table, parts[0])
         elif len(parts) == 2:
-            left = _expand_variable(table, parts[0], refs, levels)
-            right = _expand_variable(table, parts[1], refs, levels)
+            left = _expand_variable(table, parts[0])
+            right = _expand_variable(table, parts[1])
             expanded = [
                 (f"{lname}:{rname}", lfactors + rfactors)
                 for lname, lfactors in left
@@ -268,19 +247,13 @@ def design_layout(
         x=None,
         column_labels=labels,
         term_columns=term_columns,
-        reference_levels=refs,
-        levels=levels,
     )
     return design, factors
 
 
-def encode_design(
-    table: RecordTable,
-    formula: Formula | str,
-    reference_levels: dict[str, str] | None = None,
-) -> DesignMatrix:
+def encode_design(table: RecordTable, formula: Formula | str) -> DesignMatrix:
     """Build the treatment-coded design matrix for ``formula`` over ``table``'s rows."""
-    design, factors = design_layout(table, formula, reference_levels)
+    design, factors = design_layout(table, formula)
     # the transpose is in Fortran order, the layout LAPACK factors
     design.x = np.array([_column(table, f) for f in factors]).T
     return design

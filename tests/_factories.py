@@ -42,8 +42,6 @@ def design_from_arrays(x, y, labels=None) -> DesignMatrix:
         x=np.asarray(x, dtype=float),
         column_labels=list(labels),
         term_columns={"intercept": [0], **{lab: [i] for i, lab in enumerate(labels[1:], 1)}},
-        reference_levels={},
-        levels={},
     )
 
 
@@ -110,3 +108,15 @@ def record_table(records) -> RecordTable:
 def make_table(n, seed=0, **kwargs) -> RecordTable:
     """``make_records(n, seed, **kwargs)`` as the column table the stats functions take."""
     return record_table(make_records(n, seed=seed, **kwargs))
+
+
+def with_reference(table: RecordTable, var: str, ref: str) -> RecordTable:
+    """``table`` with level ``ref`` of ``var`` renamed ``" " + ref``, which sorts
+    first, so treatment coding takes it as the reference and leaves every
+    other level's column label and order as they were."""
+    columns = {
+        v: np.asarray(table.levels[v])[codes] if v in table.levels else codes
+        for v, codes in table.columns.items()
+    }
+    columns[var] = np.where(columns[var] == ref, " " + ref, columns[var])
+    return column_table(columns)

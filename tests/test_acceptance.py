@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _factories import make_table, record_table, split_arrays
+from _factories import design_from_arrays, make_table, record_table, split_arrays, with_reference
 from efcilab.analyze import build_report_bundle
 from efcilab.config import default_config
 from efcilab.datagen import SynthSpec, synth_features
@@ -28,7 +28,7 @@ from efcilab.learners import (
 from efcilab.metrics import avg_forgetting, avg_incremental_accuracy
 from efcilab.report import render_bundle
 from efcilab.stats.analysis import anova_partial_eta2, pairwise_comparison
-from efcilab.stats.design import DesignMatrix, Formula, encode_design
+from efcilab.stats.design import Formula, encode_design
 from efcilab.stats.regression import ols_fit
 
 mp.mp.dps = 40
@@ -118,20 +118,6 @@ def test_criterion_02_zero_forgetting_property():
 # Criterion 3: OLS oracle
 
 
-def _design_from_arrays(x, y):
-    p = x.shape[1]
-    labels = ["intercept"] + [f"x{i}" for i in range(1, p)]
-    return DesignMatrix(
-        formula=Formula("y", tuple(labels[1:])),
-        y=np.asarray(y, dtype=float),
-        x=np.asarray(x, dtype=float),
-        column_labels=labels,
-        term_columns={"intercept": [0], **{lab: [i] for i, lab in enumerate(labels[1:], 1)}},
-        reference_levels={},
-        levels={},
-    )
-
-
 def _oracle_t_pvalue(t, df):
     x = mp.mpf(df) / (df + mp.mpf(t) ** 2)
     return float(mp.betainc(mp.mpf(df) / 2, mp.mpf(1) / 2, 0, x, regularized=True))
@@ -146,7 +132,7 @@ def test_criterion_03_ols_oracle():
         x = rng.standard_normal((n, p))
         x[:, 0] = 1.0
         y = x @ rng.standard_normal(p) + rng.standard_normal(n)
-        fit = ols_fit(_design_from_arrays(x, y))
+        fit = ols_fit(design_from_arrays(x, y))
         beta_ref = np.linalg.solve(x.T @ x, x.T @ y)
         worst_beta = max(worst_beta, float(np.max(np.abs(fit.beta - beta_ref))))
         worst_orth = max(worst_orth, float(np.max(np.abs(x.T @ (y - x @ fit.beta)))))
@@ -185,7 +171,8 @@ def test_criterion_04_reference_invariance_and_antisymmetry():
         )
         observed = table.levels["train"]
         designs = {
-            ref: encode_design(table, "avg_acc ~ train + incr", {"train": ref}) for ref in observed
+            ref: encode_design(with_reference(table, "train", ref), "avg_acc ~ train + incr")
+            for ref in observed
         }
         fits = {ref: ols_fit(design) for ref, design in designs.items()}
         fitted = {ref: designs[ref].x @ fits[ref].beta for ref in observed}

@@ -1,4 +1,4 @@
-"""Design-matrix encoding: treatment coding, references, interactions."""
+"""Design-matrix encoding: treatment coding, interactions."""
 
 import dataclasses
 import re
@@ -36,10 +36,9 @@ def test_parse_formula_rejects_duplicates_and_garbage():
 
 def test_three_level_factor_gets_two_columns_plus_intercept():
     table = make_table(30, seed=1)
-    design = encode_design(table, "avg_acc ~ train", {"train": "byol"})
+    design = encode_design(table, "avg_acc ~ train")
     assert design.p == 3
     assert design.column_labels == ["intercept", "train[dino]", "train[scratch]"]
-    assert design.reference_levels["train"] == "byol"
     # indicator columns are 0/1 and never both 1
     ind = design.x[:, 1:]
     assert set(np.unique(ind)) <= {0.0, 1.0}
@@ -48,14 +47,8 @@ def test_three_level_factor_gets_two_columns_plus_intercept():
 
 def test_default_reference_is_first_sorted_level():
     table = make_table(30, seed=2)
-    design = encode_design(table, "avg_acc ~ train")
-    assert design.reference_levels["train"] == "byol"
-
-
-def test_unknown_reference_level_rejected():
-    table = make_table(30, seed=3)
-    with pytest.raises(DesignError, match="does not occur"):
-        encode_design(table, "avg_acc ~ train", {"train": "nonesuch"})
+    design = encode_design(table, "avg_acc ~ train + incr")
+    assert design.column_labels == ["intercept", "train[dino]", "train[scratch]", "incr[fetril]"]
 
 
 def test_unknown_variable_rejected():
@@ -121,16 +114,14 @@ def test_categorical_response_rejected():
 def reference_design(records, formula):
     """Record-by-record encoding, the way the column table must reproduce it."""
     formula = parse_formula(formula)
-    levels = {}
 
     def expand(var):
         values = [getattr(r, var) for r in records]
         if var not in CATEGORICAL_VARS:
             return [(var, np.array([float(v) for v in values]))]
-        levels[var] = tuple(sorted(set(values)))
         return [
             (f"{var}[{lvl}]", np.array([1.0 if v == lvl else 0.0 for v in values]))
-            for lvl in levels[var][1:]
+            for lvl in sorted(set(values))[1:]
         ]
 
     labels, columns = ["intercept"], [np.ones(len(records))]
@@ -142,7 +133,7 @@ def reference_design(records, formula):
             labels.append(label)
             columns.append(column)
     y = np.array([float(getattr(r, formula.response)) for r in records])
-    return np.column_stack(columns), y, labels, levels
+    return np.column_stack(columns), y, labels
 
 
 BUNDLE_FORMULAS = sorted(
@@ -161,11 +152,10 @@ def test_column_table_design_equals_record_encoding(formula):
     kept = [r for r in records if r.train != "scratch"]
     for rows, subset in ((table, records), (table.take(keep), kept)):
         design = encode_design(rows, formula)
-        x, y, labels, levels = reference_design(subset, formula)
+        x, y, labels = reference_design(subset, formula)
         assert design.column_labels == labels
         assert np.array_equal(design.x, x)
         assert np.array_equal(design.y, y)
-        assert design.levels == levels
 
 
 def test_single_level_message_and_screening_skip():

@@ -153,7 +153,8 @@ def test_config_validation_errors():
                 datasets=(DatasetSpec(name="ext", kind="file", **geometry),),
                 strategies=(StrategySpec(name="emb", paths={"ext": "ext.csv"}),),
             )))
-    # hyperparameters every run of a learner would reject fail at load, naming the learner
+    # hyperparameters every run of a learner would reject fail at load, naming the learner,
+    # also when the learner is not in the grid: they are still written out and hashed
     for hyperparams, pattern in (
         ({"ncm": {"epochs": 5}}, "learner 'ncm': invalid hyperparameters"),
         ({"dslda": {"shrinkage": -2.0}}, "learner 'dslda': shrinkage must lie in"),
@@ -171,11 +172,13 @@ def test_config_validation_errors():
         ({"bsil": {"anchor_strength": [1]}}, "learner 'bsil': anchor_strength must be a finite"),
         # ncm is dslda at a fixed shrinkage of 1 and takes none
         ({"ncm": {"shrinkage": 0.5}}, "learner 'ncm': invalid hyperparameters"),
+        ({"fetril": {"lr": -1, "epochs": "x"}}, "learner 'fetril': epochs must be an integer"),
     ):
-        with pytest.raises(ConfigError, match=pattern):
-            config_from_dict(
-                config_to_dict(toy_config(learners=LEARNER_KINDS, hyperparams=hyperparams))
-            )
+        for learners in (LEARNER_KINDS, tuple(k for k in LEARNER_KINDS if k not in hyperparams)):
+            with pytest.raises(ConfigError, match=pattern):
+                config_from_dict(
+                    config_to_dict(toy_config(learners=learners, hyperparams=hyperparams))
+                )
     # numbers are checked, not coerced; the error names the dataset or strategy and field
     for path, value, message in (
         (("base_seed",), 1.5, "base_seed must be an integer, got 1.5"),

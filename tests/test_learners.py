@@ -20,7 +20,6 @@ from efcilab.learners import (
     _cosine_softmax_loss,
     _inner_products,
     _unit_rows,
-    argmax_by_class,
     descend,
     fit_softmax_head,
     run_incremental,
@@ -506,7 +505,7 @@ def test_fetril_head_receives_real_rows_and_one_offset_per_past_class(monkeypatc
         past_means.update(step_means)
         ids = np.array(sorted(past_means))
         w, b = reference_head(ref_x, np.searchsorted(ids, ref_y), len(ids), lr, epochs, decay)
-        expected = argmax_by_class(test_x @ w.T + b, ids)
+        expected = ids[np.argmax(test_x @ w.T + b, axis=1)]
         assert np.array_equal(learner.predict(test_x), expected)
     assert len(calls) == 3
 
@@ -1007,6 +1006,19 @@ def test_learn_step_discards_the_kept_model(kind):
     assert set(before.tolist()) <= {0, 1}
     assert after.tolist() == [2, 3]
     assert np.array_equal(after, clean.predict(queries))
+
+
+@pytest.mark.parametrize("kind", learners.LEARNER_KINDS)
+def test_kept_model_ids_strictly_increase(kind):
+    # predict breaks a tie to the first column, the lowest id, only if the
+    # ids are sorted; steps bring classes out of order to test that
+    sc = Scenario(kind="equal", steps=((5, 1), (3, 0), (4, 2)))
+    ds = synth_features(SynthSpec(n_classes=6, dim=4, n_train=6, n_test=2, separation=3.0, seed=17))
+    learner = learners.make_learner(kind, few_epochs(kind))
+    for x, y, test_x, _ in step_arrays(ds, sc):
+        learner.learn_step(x, y)
+        learner.predict(test_x)
+        assert np.all(np.diff(learner._model[0]) > 0)
 
 
 @pytest.mark.parametrize("cls", [StreamingLDA, FeTrILLite, BSILLite, NearestClassMean])
